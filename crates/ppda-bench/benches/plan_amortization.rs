@@ -1,15 +1,62 @@
 //! Measures what the compile-once plan layer buys: per-round cost with a
-//! reused [`RoundPlan`] versus the bootstrap-per-round baseline (a fresh
-//! protocol object per round, as the campaign runner did before the plan
-//! split). The gap is the amortized work — pairwise key derivation, hop
-//! tables, aggregator election, chain/schedule compilation, Lagrange
-//! weights. Recorded ratios live in `EXPERIMENTS.md`.
-#![allow(deprecated)] // the bootstrap-per-round baseline *is* the legacy path
+//! reused [`RoundPlan`] (one deployment, one driver) versus the
+//! bootstrap-per-round baseline (a fresh deployment built for every round,
+//! as the campaign runner did before the plan split). The gap is the
+//! amortized work — pairwise key derivation, hop tables, aggregator
+//! election, chain/schedule compilation, Lagrange weights. Recorded ratios
+//! live in `EXPERIMENTS.md`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppda_bench::TestbedSetup;
-use ppda_mpc::{ProtocolKind, RoundPlan, S3Protocol, S4Protocol};
+use ppda_mpc::{Deployment, MpcError, ProtocolConfig, ProtocolKind, RoundPlan};
+use ppda_topology::Topology;
+
+fn deployment<'t>(
+    topology: &'t Topology,
+    config: &ProtocolConfig,
+    kind: ProtocolKind,
+) -> Result<Deployment<'t>, MpcError> {
+    Deployment::builder()
+        .topology_ref(topology)
+        .config(config.clone())
+        .protocol(kind)
+        .build()
+}
+
+/// Register the reused-plan and bootstrap-per-round benches of one
+/// operating point under `<what>/<point>` names.
+fn bench_pair(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    prefix: &str,
+    point: &str,
+    topology: &Topology,
+    config: &ProtocolConfig,
+    kind: ProtocolKind,
+) {
+    let reused = deployment(topology, config, kind).unwrap();
+    let mut driver = reused.driver();
+    group.bench_function(format!("{prefix}_reused_plan/{point}"), |bench| {
+        let mut seed = 0u64;
+        bench.iter(|| {
+            seed += 1;
+            driver.round_at(config.round_id, seed).unwrap()
+        })
+    });
+    group.bench_function(format!("{prefix}_bootstrap_per_round/{point}"), |bench| {
+        let mut seed = 0u64;
+        bench.iter(|| {
+            seed += 1;
+            // The pre-plan campaign body: fresh config clone, fresh
+            // deployment, fresh bootstrap, every round.
+            deployment(topology, config, kind)
+                .unwrap()
+                .driver()
+                .round_at(config.round_id, seed)
+                .unwrap()
+        })
+    });
+}
 
 fn bench_plan_amortization(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_amortization");
@@ -25,52 +72,25 @@ fn bench_plan_amortization(c: &mut Criterion) {
         let config = setup.config(sources).unwrap();
 
         // S4, the periodic-aggregation production path.
-        let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-        let label = |what: &str| format!("{what}/{}-{sources}src", setup.name);
-        group.bench_function(label("s4_reused_plan"), |bench| {
-            let mut seed = 0u64;
-            bench.iter(|| {
-                seed += 1;
-                plan.run(seed).unwrap()
-            })
-        });
-        group.bench_function(label("s4_bootstrap_per_round"), |bench| {
-            let mut seed = 0u64;
-            bench.iter(|| {
-                seed += 1;
-                // The legacy campaign body: fresh config clone, fresh
-                // protocol, fresh bootstrap, every round.
-                S4Protocol::new(config.clone())
-                    .run(&topology, seed)
-                    .unwrap()
-            })
-        });
+        let point = format!("{}-{sources}src", setup.name);
+        bench_pair(
+            &mut group,
+            "s4",
+            &point,
+            &topology,
+            &config,
+            ProtocolKind::S4,
+        );
 
         // Plan compilation alone (what gets amortized away).
-        group.bench_function(label("plan_compile"), |bench| {
+        group.bench_function(format!("plan_compile/{point}"), |bench| {
             bench.iter(|| RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap())
         });
 
         // The full network for context (simulation-dominated).
         let full = setup.config(topology.len()).unwrap();
-        let full_plan = RoundPlan::new(&topology, &full, ProtocolKind::S4).unwrap();
-        group.bench_function(format!("s4_reused_plan/{}-full", setup.name), |bench| {
-            let mut seed = 0u64;
-            bench.iter(|| {
-                seed += 1;
-                full_plan.run(seed).unwrap()
-            })
-        });
-        group.bench_function(
-            format!("s4_bootstrap_per_round/{}-full", setup.name),
-            |bench| {
-                let mut seed = 0u64;
-                bench.iter(|| {
-                    seed += 1;
-                    S4Protocol::new(full.clone()).run(&topology, seed).unwrap()
-                })
-            },
-        );
+        let point = format!("{}-full", setup.name);
+        bench_pair(&mut group, "s4", &point, &topology, &full, ProtocolKind::S4);
     }
 
     // S3 for completeness, on the smaller testbed only (its rounds are an
@@ -78,23 +98,14 @@ fn bench_plan_amortization(c: &mut Criterion) {
     let setup = TestbedSetup::flocklab();
     let topology = setup.topology();
     let config = setup.config(6).unwrap();
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S3).unwrap();
-    group.bench_function("s3_reused_plan/flocklab-6src", |bench| {
-        let mut seed = 0u64;
-        bench.iter(|| {
-            seed += 1;
-            plan.run(seed).unwrap()
-        })
-    });
-    group.bench_function("s3_bootstrap_per_round/flocklab-6src", |bench| {
-        let mut seed = 0u64;
-        bench.iter(|| {
-            seed += 1;
-            S3Protocol::new(config.clone())
-                .run(&topology, seed)
-                .unwrap()
-        })
-    });
+    bench_pair(
+        &mut group,
+        "s3",
+        "flocklab-6src",
+        &topology,
+        &config,
+        ProtocolKind::S3,
+    );
     group.finish();
 }
 

@@ -196,9 +196,9 @@ pub struct CampaignResult {
 ///
 /// With `config.batch > 1` every round aggregates B values per source at
 /// one round's transport cost; a node-round counts as successful only if
-/// **all** B lanes reconstructed correctly. B = 1 reproduces the scalar
-/// campaign bit-for-bit (the executor path is byte-identical; see
-/// `tests/plan_reuse.rs`).
+/// **all** B lanes reconstructed correctly. B = 1 reproduces the paper's
+/// scalar rounds bit-for-bit (`tests/plan_reuse.rs` holds them to the
+/// frozen reference rounds).
 ///
 /// Rounds are distributed over all available cores; results are
 /// deterministic for a given `(base_seed, iterations)` regardless of the
@@ -226,9 +226,9 @@ pub fn run_campaign(
     )
 }
 
-/// [`run_campaign`] under fault injection: every round runs the degraded
-/// executor path with `faults` (seeded link loss, dropout, delivery
-/// faults) and the result additionally reports availability — recovery
+/// [`run_campaign`] under fault injection: every round runs with `faults`
+/// (seeded link loss, dropout, delivery faults) and the result
+/// additionally reports availability — recovery
 /// rate, the margin distribution and the rounds that ended below the
 /// reconstruction threshold.
 ///
@@ -236,9 +236,9 @@ pub fn run_campaign(
 /// probabilistic fault draws are independent per round, but a
 /// [`ChurnSchedule`](ppda_sim::ChurnSchedule) — keyed on the round id —
 /// is all-or-nothing here: a window either covers `config.round_id` for
-/// every iteration or none. Churn belongs to the session API
-/// ([`ppda_mpc::AggregationSession::next_round_degraded`]), whose epochs
-/// advance the round id.
+/// every iteration or none. Churn belongs to a stepped
+/// [`RoundDriver`](ppda_mpc::RoundDriver), whose rounds advance the round
+/// id.
 ///
 /// A zero [`FaultPlan`] is byte-identical to the fault-free campaign
 /// (`run_campaign` simply delegates here), and below-threshold rounds are
@@ -512,9 +512,9 @@ mod tests {
 
     #[test]
     fn fault_free_campaign_reports_availability_baseline() {
-        // run_campaign delegates to the degraded path with a zero plan
-        // (the executor-level byte-identity is proven by
-        // tests/fault_tolerance.rs); here we pin the availability fields
+        // run_campaign delegates here with a zero plan (zero-plan
+        // byte-identity is proven by tests/fault_tolerance.rs); here we
+        // pin the availability fields
         // a clean small campaign must report. At this operating point the
         // transport delivers every share, so recovery is exactly full —
         // larger/lossier points may dip below 1.0 from fading alone.

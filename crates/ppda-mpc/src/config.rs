@@ -186,6 +186,115 @@ impl ProtocolConfig {
             .map(|(_, count)| count)
             .unwrap_or(0)
     }
+
+    /// Check every invariant a round relies on. The builder runs this,
+    /// and so does every other way a config reaches a round: the fields
+    /// are public, so plan compilation and checkpoint restore check again.
+    ///
+    /// # Errors
+    ///
+    /// [`MpcError::InvalidConfig`] when any constraint is violated:
+    /// network size (2..=128 nodes), source validity/uniqueness, degree
+    /// bounds, aggregator count vs. network size, tag length, NTX,
+    /// thresholds and the reading bound; [`MpcError::BatchTooWide`] when
+    /// the lane width does not fit the transport.
+    pub fn validate(&self) -> Result<(), MpcError> {
+        let n = self.n_nodes;
+        if !(2..=128).contains(&n) {
+            return Err(MpcError::InvalidConfig {
+                what: format!("need 2..=128 nodes, got {n}"),
+            });
+        }
+        if self.sources.is_empty() {
+            return Err(MpcError::InvalidConfig {
+                what: "at least one source required".into(),
+            });
+        }
+        let mut seen = vec![false; n];
+        for &s in &self.sources {
+            if s as usize >= n {
+                return Err(MpcError::InvalidConfig {
+                    what: format!("source {s} outside the {n}-node network"),
+                });
+            }
+            if seen[s as usize] {
+                return Err(MpcError::InvalidConfig {
+                    what: format!("duplicate source {s}"),
+                });
+            }
+            seen[s as usize] = true;
+        }
+        let degree = self.degree;
+        if degree == 0 {
+            return Err(MpcError::InvalidConfig {
+                what: "degree 0 offers no privacy (shares equal the secret)".into(),
+            });
+        }
+        let aggregators = degree
+            .saturating_add(1)
+            .saturating_add(self.aggregator_redundancy);
+        if aggregators > n {
+            return Err(MpcError::InvalidConfig {
+                what: format!(
+                    "need {aggregators} aggregators (degree {degree} + 1 + redundancy {}) but only {n} nodes",
+                    self.aggregator_redundancy
+                ),
+            });
+        }
+        if !(4..=16).contains(&self.tag_len) || !self.tag_len.is_multiple_of(2) {
+            return Err(MpcError::InvalidConfig {
+                what: format!("CCM tag length {} unsupported", self.tag_len),
+            });
+        }
+        if self.ntx_sharing == 0 || self.ntx_reconstruction == 0 || self.full_coverage_ntx == 0 {
+            return Err(MpcError::InvalidConfig {
+                what: "NTX values must be at least 1".into(),
+            });
+        }
+        if !(0.0..=1.0).contains(&self.link_threshold) {
+            return Err(MpcError::InvalidConfig {
+                what: format!("link threshold {} outside [0, 1]", self.link_threshold),
+            });
+        }
+        if self.batch == 0 {
+            return Err(MpcError::InvalidConfig {
+                what: "batch lane width must be at least 1".into(),
+            });
+        }
+        // Both phases' datagrams — the sealed share payload (B field
+        // elements + MIC) and the encoded sum batch — must be
+        // transportable: one 802.15.4 frame each by default, or at most
+        // 64 fragments each when fragmentation is enabled. Checked here,
+        // where the lane width is chosen, instead of surfacing as a frame
+        // error at plan compile time.
+        // No transport carries more lanes than one maximal datagram holds;
+        // checking that first keeps the layout arithmetic from overflowing
+        // on hand-assembled widths.
+        let fits = |b: usize| {
+            b <= ppda_radio::MAX_DATAGRAM_LEN / <Field as PrimeField>::ENCODED_LEN
+                && share_frame_layout(b, self.tag_len, self.fragmentation).is_ok()
+                && sum_frame_layout(b, self.fragmentation).is_ok()
+        };
+        if !fits(self.batch) {
+            let max_lanes = (1..=self.batch)
+                .take_while(|&b| fits(b))
+                .last()
+                .unwrap_or(0);
+            return Err(MpcError::BatchTooWide {
+                lanes: self.batch,
+                max_lanes,
+            });
+        }
+        if self.max_reading == 0 || self.max_reading >= ppda_field::Gf31::modulus() {
+            return Err(MpcError::InvalidConfig {
+                what: format!(
+                    "max reading {} outside (0, field modulus)",
+                    self.max_reading
+                ),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Builder for [`ProtocolConfig`] (see [`ProtocolConfig::builder`]).
@@ -210,16 +319,6 @@ pub struct ProtocolConfigBuilder {
 }
 
 impl ProtocolConfigBuilder {
-    /// Whether a lane batch of `batch` is transportable at CCM tag length
-    /// `tag_len`: both phases' datagrams (sealed share payload *and*
-    /// encoded sum batch, via [`phase_datagram_lens`]) must lay out as
-    /// frames — one each without fragmentation, at most 64 fragments each
-    /// with it.
-    fn batch_fits_transport(batch: usize, tag_len: usize, fragmentation: bool) -> bool {
-        share_frame_layout(batch, tag_len, fragmentation).is_ok()
-            && sum_frame_layout(batch, fragmentation).is_ok()
-    }
-
     /// Use `count` sources spread evenly over the node id space (the
     /// paper's "different number of source nodes" sweeps).
     pub fn sources(mut self, count: usize) -> Self {
@@ -334,99 +433,13 @@ impl ProtocolConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`MpcError::InvalidConfig`] when any constraint is violated:
-    /// network size (2..=128 nodes), source validity/uniqueness, degree
-    /// bounds, aggregator count vs. network size, tag length, thresholds.
+    /// See [`ProtocolConfig::validate`].
     pub fn build(self) -> Result<ProtocolConfig, MpcError> {
         let n = self.n_nodes;
-        if !(2..=128).contains(&n) {
-            return Err(MpcError::InvalidConfig {
-                what: format!("need 2..=128 nodes, got {n}"),
-            });
-        }
-        let sources = self.sources.unwrap_or_else(|| (0..n as u16).collect());
-        if sources.is_empty() {
-            return Err(MpcError::InvalidConfig {
-                what: "at least one source required".into(),
-            });
-        }
-        let mut seen = vec![false; n];
-        for &s in &sources {
-            if s as usize >= n {
-                return Err(MpcError::InvalidConfig {
-                    what: format!("source {s} outside the {n}-node network"),
-                });
-            }
-            if seen[s as usize] {
-                return Err(MpcError::InvalidConfig {
-                    what: format!("duplicate source {s}"),
-                });
-            }
-            seen[s as usize] = true;
-        }
-        let degree = self.degree.unwrap_or_else(|| (n / 3).max(1));
-        if degree == 0 {
-            return Err(MpcError::InvalidConfig {
-                what: "degree 0 offers no privacy (shares equal the secret)".into(),
-            });
-        }
-        let aggregators = degree + 1 + self.aggregator_redundancy;
-        if aggregators > n {
-            return Err(MpcError::InvalidConfig {
-                what: format!(
-                    "need {aggregators} aggregators (degree {degree} + 1 + redundancy {}) but only {n} nodes",
-                    self.aggregator_redundancy
-                ),
-            });
-        }
-        if !(4..=16).contains(&self.tag_len) || !self.tag_len.is_multiple_of(2) {
-            return Err(MpcError::InvalidConfig {
-                what: format!("CCM tag length {} unsupported", self.tag_len),
-            });
-        }
-        if self.ntx_sharing == 0 || self.ntx_reconstruction == 0 || self.full_coverage_ntx == 0 {
-            return Err(MpcError::InvalidConfig {
-                what: "NTX values must be at least 1".into(),
-            });
-        }
-        if !(0.0..=1.0).contains(&self.link_threshold) {
-            return Err(MpcError::InvalidConfig {
-                what: format!("link threshold {} outside [0, 1]", self.link_threshold),
-            });
-        }
-        if self.batch == 0 {
-            return Err(MpcError::InvalidConfig {
-                what: "batch lane width must be at least 1".into(),
-            });
-        }
-        // Both phases' datagrams — the sealed share payload (B field
-        // elements + MIC) and the encoded sum batch — must be
-        // transportable: one 802.15.4 frame each by default, or at most
-        // 64 fragments each when fragmentation is enabled. Checked here,
-        // where the lane width is chosen, instead of surfacing as a frame
-        // error at plan compile time.
-        if !Self::batch_fits_transport(self.batch, self.tag_len, self.fragmentation) {
-            let max_lanes = (1..=self.batch)
-                .take_while(|&b| Self::batch_fits_transport(b, self.tag_len, self.fragmentation))
-                .last()
-                .unwrap_or(0);
-            return Err(MpcError::BatchTooWide {
-                lanes: self.batch,
-                max_lanes,
-            });
-        }
-        if self.max_reading == 0 || self.max_reading >= ppda_field::Gf31::modulus() {
-            return Err(MpcError::InvalidConfig {
-                what: format!(
-                    "max reading {} outside (0, field modulus)",
-                    self.max_reading
-                ),
-            });
-        }
-        Ok(ProtocolConfig {
+        let config = ProtocolConfig {
             n_nodes: n,
-            sources,
-            degree,
+            sources: self.sources.unwrap_or_else(|| (0..n as u16).collect()),
+            degree: self.degree.unwrap_or_else(|| (n / 3).max(1)),
             ntx_sharing: self.ntx_sharing,
             ntx_reconstruction: self.ntx_reconstruction,
             full_coverage_ntx: self.full_coverage_ntx,
@@ -440,7 +453,9 @@ impl ProtocolConfigBuilder {
             batch: self.batch,
             fragmentation: self.fragmentation,
             integrity: self.integrity,
-        })
+        };
+        config.validate()?;
+        Ok(config)
     }
 }
 
@@ -552,6 +567,33 @@ mod tests {
             ProtocolConfig::builder(10).max_reading(u64::MAX).build(),
             Err(MpcError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn validate_rechecks_hand_assembled_configs() {
+        // The fields are public: a config mutated after build() must fail
+        // validation with a typed error — never overflow or panic.
+        let good = ProtocolConfig::builder(10).build().unwrap();
+        assert!(good.validate().is_ok());
+        let broken: [fn(&mut ProtocolConfig); 7] = [
+            |c| c.n_nodes = usize::MAX,
+            |c| c.degree = usize::MAX,
+            |c| c.aggregator_redundancy = usize::MAX,
+            |c| c.sources.clear(),
+            |c| c.tag_len = 5,
+            |c| c.link_threshold = f64::NAN,
+            |c| c.max_reading = 0,
+        ];
+        for mutate in broken {
+            let mut c = good.clone();
+            mutate(&mut c);
+            assert!(matches!(c.validate(), Err(MpcError::InvalidConfig { .. })));
+        }
+        for batch in [24, usize::MAX] {
+            let mut c = good.clone();
+            c.batch = batch;
+            assert!(matches!(c.validate(), Err(MpcError::BatchTooWide { .. })));
+        }
     }
 
     #[test]

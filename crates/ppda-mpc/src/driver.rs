@@ -1,12 +1,6 @@
-//! The unified execution façade: [`Deployment`] + [`RoundDriver`].
-//!
-//! Four PRs of growth left the workspace with three parallel ways to run
-//! an aggregation round — the single-shot protocol wrappers
-//! ([`S3Protocol`](crate::S3Protocol) / [`S4Protocol`](crate::S4Protocol)),
-//! the plan-level methods (`RoundPlan::run*`, `RoundExecutor::run*`), and
-//! the session API — each with its own outcome type. This module collapses
-//! them into one composable pipeline, the way platform-style MPC
-//! deployments expose a single orchestration API:
+//! The execution façade: [`Deployment`] + [`RoundDriver`], the one way
+//! to run an aggregation round — one composable pipeline, the way
+//! platform-style MPC deployments expose a single orchestration API:
 //!
 //! * [`Deployment`] fuses everything deployment-scoped — a
 //!   [`Topology`], a [`ProtocolConfig`], a [`ProtocolKind`] and an
@@ -19,7 +13,7 @@
 //!   the `Iterator` impl yields rounds forever (`driver.take(n)`).
 //!   Every round runs the **same** internal path — the zero fault plan is
 //!   simply the default — so plain vs degraded and scalar vs batched are
-//!   no longer different APIs: each round yields one
+//!   not different APIs: each round yields one
 //!   [`RoundReport`] carrying the lane aggregates, the survivor set, the
 //!   [`RecoveryStatus`](crate::RecoveryStatus) verdict and the round's
 //!   transport statistics.
@@ -37,13 +31,12 @@
 //! # Determinism
 //!
 //! A driver's automatic clock replays exactly: round r runs at
-//! `config.round_id + r` with per-round seed `derive_stream(base_seed, r)`
-//! — the same scheme the session API has always used, so CCM nonces and
-//! share randomness never repeat across epochs. The explicit
-//! [`round_at`](RoundDriver::round_at) escape hatch pins both coordinates,
-//! which is what the differential suites use to prove a B = 1 zero-fault
-//! driver round **byte-identical** to the legacy `S3Protocol::run` /
-//! `S4Protocol::run` paths (`tests/facade.rs`).
+//! `config.round_id + r` with per-round seed `derive_stream(base_seed, r)`,
+//! so CCM nonces and share randomness never repeat across epochs. The
+//! explicit [`round_at`](RoundDriver::round_at) escape hatch pins both
+//! coordinates, which is what the differential suites use to hold B = 1
+//! zero-fault driver rounds **byte-identical** to the frozen reference
+//! rounds in `tests/golden/reference_rounds.txt`.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -55,7 +48,7 @@ use ppda_topology::Topology;
 
 use crate::config::ProtocolConfig;
 use crate::error::MpcError;
-use crate::execute::{readings_into, ExecState};
+use crate::execute::{readings_into, ExecState, RoundInputs};
 use crate::membership::{MembershipDelta, MembershipTimeline, PlanPatch};
 use crate::outcome::RoundReport;
 use crate::plan::{ProtocolKind, RoundPlan};
@@ -113,8 +106,7 @@ impl<T: RoundObserver + ?Sized> RoundObserver for &mut T {
 ///
 /// Every round counts toward the recovery tally — a fault-free round is
 /// simply one that recovered with full margin — so availability is always
-/// observable, unlike the legacy session stats that only counted
-/// explicitly degraded epochs.
+/// observable.
 ///
 /// # Example
 ///
@@ -768,21 +760,6 @@ impl<'d> RoundDriver<'d> {
         self.observers.push(Box::new(observer));
     }
 
-    /// Replace the fault model for subsequent rounds (sessions route
-    /// their per-call fault plans through this).
-    pub(crate) fn set_faults(&mut self, faults: FaultPlan) {
-        self.faults = faults;
-    }
-
-    /// The survivor-mask weight cache, for holders that outlive this
-    /// driver (sessions swap a long-lived cache in and out; sessions
-    /// never run membership-driven plans, so the cache always exists).
-    pub(crate) fn weight_cache_mut(&mut self) -> &mut ppda_sss::WeightCache<crate::Field> {
-        self.exec
-            .weight_cache_opt_mut()
-            .expect("plan keeps at least threshold destinations")
-    }
-
     fn next_seed(&self) -> u64 {
         derive_stream(self.base_seed, self.stats.rounds)
     }
@@ -973,29 +950,20 @@ impl<'d> RoundDriver<'d> {
                 &self.readings_scratch
             }
         };
-        let failed = match failed {
-            Some(f) => f,
-            None => &self.all_live,
-        };
-        let tamper = if self.tamper.is_zero() {
-            None
-        } else {
-            Some(&self.tamper)
-        };
-        let out = self.exec.run_epoch_degraded(
-            plan,
+        let inputs = RoundInputs {
             round_id,
             seed,
             readings,
-            failed,
-            &self.faults,
-            tamper,
-        )?;
+            failed: failed.unwrap_or(&self.all_live),
+            faults: &self.faults,
+            tamper: &self.tamper,
+        };
+        let (outcome, degraded) = self.exec.run(plan, &inputs)?;
         let report = RoundReport {
             round_id,
             seed,
-            outcome: out.round,
-            degraded: out.degraded,
+            outcome,
+            degraded,
             patch,
         };
         self.stats.record(&report);

@@ -7,36 +7,30 @@
 //! schedules, cipher contexts, Lagrange weights) comes precompiled from
 //! the plan.
 //!
-//! Two entry points share the pipeline:
-//!
-//! * the scalar methods on [`RoundPlan`] (`run`/`run_with`/`run_epoch`) —
-//!   the paper's one-reading-per-source round, kept as the reference path;
-//! * [`RoundExecutor`] — the batched hot path: each source contributes a
-//!   vector of B readings, the whole lane batch travels in one sealed
-//!   packet per (source, destination), and per-round scratch buffers are
-//!   owned by the executor instead of reallocated every round. A 1-lane
-//!   executor round is byte-identical to the scalar path (proved by
-//!   `tests/plan_reuse.rs`).
+//! [`ExecState`] is the one executor: each source contributes a vector of
+//! B readings, the whole lane batch travels in one sealed packet per
+//! (source, destination), and the per-round scratch buffers are owned by
+//! the executor instead of reallocated every round. B = 1 is the paper's
+//! scalar round; `tests/golden/reference_rounds.txt` freezes it.
 
 use std::io::Write as _;
 
 use ppda_crypto::{Aes128, CtrDrbg};
-use ppda_ct::{Delivery, FaultPlan, LinkConditions, LinkConditionsCache, MiniCastResult};
-use ppda_field::Gf;
+use ppda_ct::{Delivery, FaultPlan, LinkConditionsCache, MiniCastResult};
 use ppda_integrity::{IntegrityVerdict, ShareCommitment, SumAudit, TamperAction, TamperPlan};
 use ppda_radio::{Fragmenter, Reassembler};
 use ppda_sim::{derive_stream, SimDuration, SimTime, Xoshiro256};
 use ppda_sss::{
-    open_share_lanes, seal_share_lanes, split_secret, BatchSplitter, CommitPacket,
-    ReconstructionPlan, Share, SharePacket, SumAccumulator, SumPacket, WeightCache,
+    open_share_lanes, seal_share_lanes, BatchSplitter, CommitPacket, ReconstructionPlan,
+    WeightCache,
 };
 use rand::RngCore;
 
 use crate::config::ProtocolConfig;
 use crate::error::MpcError;
 use crate::outcome::{
-    AggregationOutcome, BatchAggregationOutcome, BatchNodeResult, DegradedBatchOutcome,
-    DegradedOutcome, FaultReport, NodeResult, PhaseStats, RecoveryStatus,
+    BatchAggregationOutcome, BatchNodeResult, DegradedOutcome, FaultReport, PhaseStats,
+    RecoveryStatus,
 };
 use crate::plan::RoundPlan;
 use crate::{Elem, Field};
@@ -45,29 +39,11 @@ use crate::{Elem, Field};
 const PHASE_SHARING: u32 = 0;
 const PHASE_RECONSTRUCTION: u32 = 1;
 
-/// Deterministic sensor readings for a round: uniform in
-/// `[0, max_reading)`, derived from the master key, round id and seed.
-pub(crate) fn generate_readings(config: &ProtocolConfig, round_id: u32, seed: u64) -> Vec<u64> {
-    readings_with_cipher(&Aes128::new(&config.master_key), config, round_id, seed, 1)
-}
-
-/// Batched readings: `lanes` values per source, lane-major per source
-/// (`out[si * lanes + lane]`). A 1-lane call draws exactly the scalar
-/// [`generate_readings`] sequence.
-pub(crate) fn readings_with_cipher(
-    master: &Aes128,
-    config: &ProtocolConfig,
-    round_id: u32,
-    seed: u64,
-    lanes: usize,
-) -> Vec<u64> {
-    let mut out = Vec::with_capacity(config.sources.len() * lanes);
-    readings_into(master, config, round_id, seed, lanes, &mut out);
-    out
-}
-
-/// [`readings_with_cipher`] into a reusable buffer (cleared first), so
-/// hot loops draw fresh readings without reallocating.
+/// Deterministic sensor readings for a round: `lanes` values per source,
+/// uniform in `[0, max_reading)`, lane-major per source
+/// (`out[si * lanes + lane]`), derived from the master key, round id and
+/// seed. Written into a reusable buffer (cleared first), so hot loops draw
+/// fresh readings without reallocating.
 pub(crate) fn readings_into(
     master: &Aes128,
     config: &ProtocolConfig,
@@ -136,8 +112,8 @@ fn fragment_round_trip(
     Ok(())
 }
 
-/// Record `source`'s contribution in a mask, with the scalar
-/// [`SumAccumulator`]'s checks (id fits the 128-bit mask, no duplicates).
+/// Record `source`'s contribution in a mask, with
+/// [`ppda_sss::SumAccumulator`]'s checks (id fits the 128-bit mask, no duplicates).
 fn contribute(mask: u128, source: u16) -> Result<u128, MpcError> {
     if source as usize >= ppda_sss::MAX_MASK_SOURCES {
         return Err(MpcError::Sss(ppda_sss::SssError::SourceIdTooLarge {
@@ -153,7 +129,7 @@ fn contribute(mask: u128, source: u16) -> Result<u128, MpcError> {
     Ok(mask | bit)
 }
 
-/// Validate per-round inputs shared by the scalar and batched paths.
+/// Validate a round's caller-supplied readings and failure mask.
 fn validate_inputs(
     config: &ProtocolConfig,
     lanes: usize,
@@ -185,304 +161,6 @@ fn validate_inputs(
         }
     }
     Ok(())
-}
-
-impl RoundPlan<'_> {
-    /// Run one round with deterministically generated sensor readings and
-    /// no failures, at the configuration's round id.
-    ///
-    /// # Errors
-    ///
-    /// See [`RoundPlan::run_epoch`].
-    pub fn run(&self, seed: u64) -> Result<AggregationOutcome, MpcError> {
-        let config = self.config();
-        let secrets = generate_readings(config, config.round_id, seed);
-        self.run_with(seed, &secrets, &vec![false; config.n_nodes])
-    }
-
-    /// Run one round with explicit readings and failure injection, at the
-    /// configuration's round id.
-    ///
-    /// The failure mask is the only fault model on this path: transport
-    /// simulation otherwise assumes every surviving delivery decodes.
-    /// For seeded link loss, dropout, churn and delivery faults — and a
-    /// typed [`DegradedOutcome`] report instead of silent completeness —
-    /// use [`RoundExecutor::run_epoch_degraded`] (via
-    /// [`RoundPlan::executor`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`RoundPlan::run_epoch`].
-    pub fn run_with(
-        &self,
-        seed: u64,
-        secrets: &[u64],
-        failed: &[bool],
-    ) -> Result<AggregationOutcome, MpcError> {
-        self.run_epoch(self.config().round_id, seed, secrets, failed)
-    }
-
-    /// Run one round under an explicit round id (periodic sessions advance
-    /// it every epoch so CCM nonces and share randomness never repeat).
-    ///
-    /// This is the loss-free reference path: every share a flood delivers
-    /// is decoded, and a node that cannot reach the reconstruction
-    /// threshold simply reports no aggregate (`NodeResult::aggregate =
-    /// None`) — never a wrong one. Degraded networks (seeded link loss,
-    /// dropout, churn, decode-deadline misses) are exercised through
-    /// [`RoundExecutor::run_epoch_degraded`], which additionally reports
-    /// the survivor set and recovery margin as a [`DegradedOutcome`].
-    ///
-    /// # Errors
-    ///
-    /// * [`MpcError::InvalidConfig`] on a plan compiled with `batch > 1`
-    ///   (use [`RoundPlan::executor`] for lane batches).
-    /// * [`MpcError::InputMismatch`] on wrong-sized inputs.
-    /// * [`MpcError::ReadingTooLarge`] if a reading exceeds the field.
-    pub fn run_epoch(
-        &self,
-        round_id: u32,
-        seed: u64,
-        secrets: &[u64],
-        failed: &[bool],
-    ) -> Result<AggregationOutcome, MpcError> {
-        let config = self.config();
-        if config.batch != 1 {
-            return Err(MpcError::InvalidConfig {
-                what: format!(
-                    "scalar round on a {}-lane plan; use RoundPlan::executor()",
-                    config.batch
-                ),
-            });
-        }
-        let n = config.n_nodes;
-        validate_inputs(config, 1, secrets, failed)?;
-
-        // This round's radio conditions (drawn once; both phases happen
-        // within seconds of each other, so one link table serves both).
-        let attenuation_db = {
-            let mut rng = Xoshiro256::seed_from(derive_stream(seed, 0xFAD));
-            config.fading.draw(&mut rng)
-        };
-        let conditions = LinkConditions::new(self.topology(), attenuation_db);
-
-        let live_source_mask: u128 = config
-            .sources
-            .iter()
-            .zip(secrets)
-            .filter(|&(&s, _)| !failed[s as usize])
-            .fold(0u128, |m, (&s, _)| m | (1u128 << s));
-        let expected: Elem = config
-            .sources
-            .iter()
-            .zip(secrets)
-            .filter(|&(&s, _)| !failed[s as usize])
-            .map(|(_, &v)| Elem::new(v))
-            .sum();
-
-        // ---- Sharing phase ------------------------------------------------
-        // One share vector per live source (kept for the local-sum step so
-        // source-destinations need not re-derive their own share), one
-        // sealed payload per live sub-slot.
-        let mut shares_by_source: Vec<Option<Vec<Share<Field>>>> =
-            Vec::with_capacity(config.sources.len());
-        for (si, &src) in config.sources.iter().enumerate() {
-            if failed[src as usize] {
-                shares_by_source.push(None);
-                continue;
-            }
-            let mut drbg = CtrDrbg::with_master_cipher(
-                &self.master_cipher,
-                format!("share|{round_id}|{seed}|{src}").as_bytes(),
-            );
-            shares_by_source.push(Some(split_secret(
-                Elem::new(secrets[si]),
-                config.degree,
-                &self.dest_xs,
-                &mut drbg,
-            )?));
-        }
-        let mut sealed: Vec<Option<Vec<u8>>> = Vec::with_capacity(self.slots.len());
-        for (j, slot) in self.slots.iter().enumerate() {
-            match &shares_by_source[slot.src_index] {
-                Some(shares) => {
-                    let pkt = SharePacket::<Field> {
-                        src: slot.src,
-                        dst: slot.dst,
-                        round: round_id,
-                        share: shares[slot.dst_index],
-                    };
-                    let mut buf = Vec::new();
-                    pkt.seal_with(&self.slot_ccm[j], &mut buf)?;
-                    sealed.push(Some(buf));
-                }
-                None => sealed.push(None),
-            }
-        }
-
-        let sharing_result = {
-            // Predicate: which sub-slots a node must hold before its
-            // sharing duty is complete.
-            let slot_live: Vec<bool> = sealed.iter().map(|s| s.is_some()).collect();
-            let is_destination = &self.is_destination;
-            let dest_index = &self.dest_index;
-            let slots_by_dest = &self.slots_by_dest;
-            let offsets = &self.dest_slot_offsets;
-            let strict = self.variant.strict_completion;
-            let mut rng = Xoshiro256::seed_from(derive_stream(seed, 0x5A1));
-            self.sharing_schedule
-                .run_with(&conditions, &mut rng, failed, |v, have| {
-                    if strict {
-                        // Naive: wait for the complete chain. The static
-                        // schedule has no notion of node liveness, so a dead
-                        // source's sub-slots stall the predicate — exactly
-                        // the rigidity the paper's S4 removes.
-                        have.iter().all(|&h| h)
-                    } else if is_destination[v] {
-                        // Aggregator: needs exactly the packets addressed
-                        // to it (the plan's per-destination slot index).
-                        let di = dest_index[v];
-                        slots_by_dest[offsets[di]..offsets[di + 1]]
-                            .iter()
-                            .all(|&j| !slot_live[j] || have[j])
-                    } else {
-                        // Pure relay: no data needs of its own.
-                        true
-                    }
-                })
-        };
-
-        // ---- Local sum accumulation ---------------------------------------
-        let mut sums: Vec<Option<SumPacket<Field>>> = vec![None; self.destinations.len()];
-        for (di, &d) in self.destinations.iter().enumerate() {
-            if failed[d as usize] {
-                continue;
-            }
-            let mut acc = SumAccumulator::new(self.dest_xs[di]);
-            // Own share, if this destination is itself a live source.
-            if let Some(si) = config.sources.iter().position(|&s| s == d) {
-                if let Some(shares) = &shares_by_source[si] {
-                    acc.add(d, shares[di].y)?;
-                }
-            }
-            let my_slots =
-                &self.slots_by_dest[self.dest_slot_offsets[di]..self.dest_slot_offsets[di + 1]];
-            for &j in my_slots {
-                let slot = &self.slots[j];
-                if sealed[j].is_none() || !sharing_result.nodes[d as usize].received[j] {
-                    continue;
-                }
-                let payload = sealed[j].as_ref().expect("checked above");
-                let pkt = SharePacket::<Field>::open_with(
-                    &self.slot_ccm[j],
-                    slot.src,
-                    d,
-                    round_id,
-                    self.dest_xs[di],
-                    payload,
-                )?;
-                acc.add(slot.src, pkt.share.y)?;
-            }
-            sums[di] = Some(SumPacket {
-                node: d,
-                round: round_id,
-                share: acc.share(),
-                mask: acc.contributor_mask(),
-            });
-        }
-
-        // ---- Reconstruction phase ------------------------------------------
-        // A sum share is *usable* for threshold reconstruction when it
-        // covers every live source. (A node discovers this bit the moment
-        // it decodes the packet; precomputing it here is timing-equivalent.)
-        let usable: Vec<bool> = sums
-            .iter()
-            .map(|s| matches!(s, Some(p) if p.mask == live_source_mask))
-            .collect();
-        let threshold = self.threshold;
-        let recon_result = {
-            let strict = self.variant.strict_completion;
-            let usable = &usable;
-            let mut rng = Xoshiro256::seed_from(derive_stream(seed, 0x5A2));
-            self.recon_schedule
-                .run_with(&conditions, &mut rng, failed, move |_, have| {
-                    if strict {
-                        have.iter().all(|&h| h)
-                    } else {
-                        have.iter().zip(usable).filter(|&(&h, &u)| h && u).count() >= threshold
-                    }
-                })
-        };
-
-        // ---- Per-node aggregation -------------------------------------------
-        let sharing_sched = sharing_result.scheduled_duration();
-        let strict = self.variant.strict_completion;
-        let nodes: Vec<NodeResult> = (0..n)
-            .map(|v| {
-                if failed[v] {
-                    return NodeResult {
-                        aggregate: None,
-                        included_sources: 0,
-                        latency: None,
-                        radio_on: SimDuration::ZERO,
-                        energy_mj: 0.0,
-                        failed: true,
-                    };
-                }
-                // Collect the sum shares this node holds after
-                // reconstruction. A naive (strict) node only delivers once
-                // its all-to-all predicate held — it has no protocol step
-                // for partial data.
-                let (aggregate, included) =
-                    if strict && recon_result.nodes[v].predicate_met_at.is_none() {
-                        (None, 0)
-                    } else {
-                        let held: Vec<&SumPacket<Field>> = sums
-                            .iter()
-                            .enumerate()
-                            .filter(|&(j, s)| s.is_some() && recon_result.nodes[v].received[j])
-                            .map(|(_, s)| s.as_ref().expect("filtered"))
-                            .collect();
-                        aggregate_from_sums(&held, config.degree, &self.recon_weights)
-                    };
-
-                let latency = recon_result.nodes[v]
-                    .predicate_met_at
-                    .map(|t| sharing_sched + (t - SimTime::ZERO));
-                let mut radio = sharing_result.nodes[v].ledger;
-                radio.merge(&recon_result.nodes[v].ledger);
-                NodeResult {
-                    aggregate: aggregate.map(|a| a.value()),
-                    included_sources: included,
-                    latency,
-                    radio_on: radio.radio_on(),
-                    energy_mj: radio.energy_mj(&ppda_radio::RadioCurrents::nrf52840()),
-                    failed: false,
-                }
-            })
-            .collect();
-
-        Ok(AggregationOutcome {
-            protocol: self.variant.name,
-            expected_sum: expected.value(),
-            nodes,
-            sharing: phase_stats(
-                &sharing_result,
-                self.slots.len(),
-                self.ntx_sharing,
-                self.sharing_schedule.chain().fragments(),
-            ),
-            reconstruction: phase_stats(
-                &recon_result,
-                self.destinations.len(),
-                self.ntx_reconstruction,
-                self.recon_schedule.chain().fragments(),
-            ),
-            degree: config.degree,
-            aggregator_count: self.destinations.len(),
-            source_count: config.sources.len(),
-        })
-    }
 }
 
 /// Per-round scratch buffers: every slab a batched round writes, allocated
@@ -531,45 +209,27 @@ struct RoundScratch {
     held: Vec<usize>,
 }
 
-/// Executes batched rounds over a borrowed [`RoundPlan`], owning the
-/// per-round scratch buffers (sealed payloads, share and sum slabs, frame
-/// workspace) so consecutive rounds allocate nothing.
-///
-/// Each campaign worker takes its own executor over one shared plan; the
-/// executor is `Send` (it owns its scratch) but deliberately not shared —
-/// cross-thread reuse would serialize the hot path on a lock.
-///
-/// # Example
-///
-/// ```
-/// use ppda_mpc::{ProtocolConfig, ProtocolKind, RoundPlan};
-/// use ppda_topology::Topology;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let topology = Topology::flocklab();
-/// let config = ProtocolConfig::builder(topology.len())
-///     .sources(6)
-///     .batch(4) // 4 readings per source per round
-///     .build()?;
-/// let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4)?;
-/// let mut executor = plan.executor();
-/// let outcome = executor.run(7)?;
-/// assert_eq!(outcome.lanes, 4);
-/// assert!(outcome.correct());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct RoundExecutor<'p, 't> {
-    plan: &'p RoundPlan<'t>,
-    state: ExecState,
+/// The inputs of one round: its coordinates, the readings (lane-major
+/// per source: `readings[si * B + lane]`), the caller's failure mask,
+/// and the fault and tamper models it runs under. Zero plans
+/// ([`FaultPlan::none`], [`TamperPlan::none`]) give the plain round.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RoundInputs<'a> {
+    pub(crate) round_id: u32,
+    pub(crate) seed: u64,
+    pub(crate) readings: &'a [u64],
+    pub(crate) failed: &'a [bool],
+    pub(crate) faults: &'a FaultPlan,
+    pub(crate) tamper: &'a TamperPlan,
 }
 
-/// The plan-agnostic half of an executor: scratch buffers plus the
-/// per-caller caches. Split from [`RoundExecutor`] so a holder that
-/// *owns* (and patches) its plan — the membership-driven
-/// [`RoundDriver`](crate::RoundDriver) — can run rounds without a
-/// self-referential borrow: every run method takes the plan as a
-/// parameter.
+/// The round executor: scratch buffers plus the per-caller caches, so
+/// consecutive rounds allocate (almost) nothing. It holds no plan: a
+/// holder that *owns* (and patches) its plan — the membership-driven
+/// [`RoundDriver`](crate::RoundDriver) — runs rounds without a
+/// self-referential borrow, because [`ExecState::run`] takes the plan as
+/// a parameter. Each campaign worker owns its own executor over one
+/// shared plan.
 #[derive(Debug, Clone)]
 pub(crate) struct ExecState {
     scratch: RoundScratch,
@@ -649,222 +309,35 @@ impl ExecState {
     pub(crate) fn weight_cache_opt(&self) -> Option<&WeightCache<Field>> {
         self.weight_cache.as_ref()
     }
-
-    pub(crate) fn weight_cache_opt_mut(&mut self) -> Option<&mut WeightCache<Field>> {
-        self.weight_cache.as_mut()
-    }
 }
 
-impl<'p, 't> RoundExecutor<'p, 't> {
-    pub(crate) fn new(plan: &'p RoundPlan<'t>) -> Self {
-        RoundExecutor {
-            plan,
-            state: ExecState::new(plan),
-        }
-    }
-
-    /// The plan this executor runs over.
-    pub fn plan(&self) -> &'p RoundPlan<'t> {
-        self.plan
-    }
-
-    /// The lane width B of every round this executor runs.
-    pub fn lanes(&self) -> usize {
-        self.plan.config().batch
-    }
-
-    /// Run one batched round with deterministically generated readings
-    /// (B per source) and no failures.
-    ///
-    /// # Errors
-    ///
-    /// See [`RoundExecutor::run_epoch`].
-    pub fn run(&mut self, seed: u64) -> Result<BatchAggregationOutcome, MpcError> {
-        let config = self.plan.config();
-        let secrets = readings_with_cipher(
-            &self.plan.master_cipher,
-            config,
-            config.round_id,
-            seed,
-            config.batch,
-        );
-        let failed = vec![false; config.n_nodes];
-        self.run_epoch(config.round_id, seed, &secrets, &failed)
-    }
-
-    /// Run one batched round with explicit readings (lane-major per
-    /// source: `secrets[si * B + lane]`) and failure injection.
-    ///
-    /// # Errors
-    ///
-    /// See [`RoundExecutor::run_epoch`].
-    pub fn run_with(
-        &mut self,
-        seed: u64,
-        secrets: &[u64],
-        failed: &[bool],
-    ) -> Result<BatchAggregationOutcome, MpcError> {
-        self.run_epoch(self.plan.config().round_id, seed, secrets, failed)
-    }
-
-    /// Run one batched round under an explicit round id.
-    ///
-    /// With B = 1 this is byte-identical to [`RoundPlan::run_epoch`]
-    /// (identical DRBG draws, ciphertexts, transport outcomes and
-    /// aggregates); `tests/plan_reuse.rs` enforces that contract. Like
-    /// the scalar path, this assumes every flooded delivery decodes; see
-    /// [`RoundExecutor::run_epoch_degraded`] for fault injection.
+impl ExecState {
+    /// Run one round of `plan`. The fault layer's draws extend the
+    /// failure mask (dropout, churn), degrade the link table (loss, extra
+    /// attenuation) and erase or duplicate decoded deliveries; `tamper`
+    /// then mutates aggregator sum shares after honest accumulation (a
+    /// cheating-aggregator model). The sum audit — active whenever the
+    /// config enables integrity — renders the round's verdict. A
+    /// below-threshold round is not an error: the returned
+    /// [`DegradedOutcome`] reports [`RecoveryStatus::Failed`].
     ///
     /// # Errors
     ///
     /// * [`MpcError::InputMismatch`] on wrong-sized inputs.
     /// * [`MpcError::ReadingTooLarge`] if a reading exceeds the field.
-    pub fn run_epoch(
+    pub(crate) fn run(
         &mut self,
-        round_id: u32,
-        seed: u64,
-        secrets: &[u64],
-        failed: &[bool],
-    ) -> Result<BatchAggregationOutcome, MpcError> {
-        Ok(self
-            .state
-            .run_epoch_inner(self.plan, round_id, seed, secrets, failed, None, None)?
-            .0)
-    }
-
-    /// Run one batched round under fault injection, with deterministically
-    /// generated readings (B per source) and no explicit failures.
-    ///
-    /// # Errors
-    ///
-    /// See [`RoundExecutor::run_epoch_degraded`].
-    pub fn run_degraded(
-        &mut self,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<DegradedBatchOutcome, MpcError> {
-        let config = self.plan.config();
-        let secrets = readings_with_cipher(
-            &self.plan.master_cipher,
-            config,
-            config.round_id,
-            seed,
-            config.batch,
-        );
-        let failed = vec![false; config.n_nodes];
-        self.run_epoch_degraded(config.round_id, seed, &secrets, &failed, faults)
-    }
-
-    /// Run one batched round under an explicit round id with fault
-    /// injection from `faults`, reporting the round's survivor set and
-    /// recovery margin as a typed [`DegradedOutcome`].
-    ///
-    /// The degraded path is the regular pipeline with the fault layer's
-    /// draws applied: dropout/churn extend the failure mask, link loss
-    /// and extra attenuation degrade the round's [`LinkConditions`], and
-    /// per-delivery faults erase (or duplicate) decoded packets. Every
-    /// node reconstructs from whichever ≥ t+1 sum shares actually
-    /// survived, with Lagrange weights selected per observed x-set (and
-    /// memoized per survivor mask). A zero [`FaultPlan`] is
-    /// **byte-identical** to [`RoundExecutor::run_epoch`] — the
-    /// `fault_tolerance` differential suite enforces it — and a round
-    /// below the threshold reports
-    /// [`RecoveryStatus::Failed`], never a wrong aggregate.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RoundExecutor::run_epoch`]. A below-threshold
-    /// round is *not* an error here (the report carries it); use
-    /// [`DegradedOutcome::require_recovered`] to convert it into
-    /// [`MpcError::AggregationFailed`].
-    pub fn run_epoch_degraded(
-        &mut self,
-        round_id: u32,
-        seed: u64,
-        secrets: &[u64],
-        failed: &[bool],
-        faults: &FaultPlan,
-    ) -> Result<DegradedBatchOutcome, MpcError> {
-        self.state
-            .run_epoch_degraded(self.plan, round_id, seed, secrets, failed, faults, None)
-    }
-
-    /// Run one batched round under both fault injection *and* a cheating
-    /// aggregator: after honest accumulation, `tamper` mutates reported
-    /// sum shares in place (sum forgery, lane swaps, bit flips) before
-    /// reconstruction, exactly where a Byzantine holder would cheat.
-    ///
-    /// With integrity enabled in the config, the round's sum audit
-    /// compares every reported sum share against the sources' transcript
-    /// commitments and the outcome carries the verdict — a tampered
-    /// round reports [`IntegrityVerdict::Tampered`] while the same seeds
-    /// with [`TamperPlan::none`] report [`IntegrityVerdict::Verified`].
-    /// With integrity off, tampering silently corrupts aggregates (the
-    /// honest-but-curious model's blind spot this PR closes).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RoundExecutor::run_epoch_degraded`].
-    pub fn run_epoch_tampered(
-        &mut self,
-        round_id: u32,
-        seed: u64,
-        secrets: &[u64],
-        failed: &[bool],
-        faults: &FaultPlan,
-        tamper: &TamperPlan,
-    ) -> Result<DegradedBatchOutcome, MpcError> {
-        self.state.run_epoch_degraded(
-            self.plan,
+        plan: &RoundPlan<'_>,
+        inputs: &RoundInputs<'_>,
+    ) -> Result<(BatchAggregationOutcome, DegradedOutcome), MpcError> {
+        let RoundInputs {
             round_id,
             seed,
-            secrets,
+            readings: secrets,
             failed,
             faults,
-            Some(tamper),
-        )
-    }
-}
-
-impl ExecState {
-    /// See [`RoundExecutor::run_epoch_degraded`]; the plan is explicit so
-    /// plan-owning holders can call through without a stored borrow.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_epoch_degraded(
-        &mut self,
-        plan: &RoundPlan<'_>,
-        round_id: u32,
-        seed: u64,
-        secrets: &[u64],
-        failed: &[bool],
-        faults: &FaultPlan,
-        tamper: Option<&TamperPlan>,
-    ) -> Result<DegradedBatchOutcome, MpcError> {
-        let (round, degraded) =
-            self.run_epoch_inner(plan, round_id, seed, secrets, failed, Some(faults), tamper)?;
-        Ok(DegradedBatchOutcome {
-            round,
-            degraded: degraded.expect("fault-injected rounds produce a report"),
-        })
-    }
-
-    /// The shared round pipeline. `faults: None` is the plain path;
-    /// `Some(plan)` applies the fault layer and returns the degraded
-    /// report alongside the outcome. `tamper` mutates aggregator sum
-    /// shares after honest accumulation (a cheating-aggregator model);
-    /// the sum audit — active whenever the config enables integrity —
-    /// runs either way and renders the round's verdict.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_epoch_inner(
-        &mut self,
-        plan: &RoundPlan<'_>,
-        round_id: u32,
-        seed: u64,
-        secrets: &[u64],
-        failed: &[bool],
-        faults: Option<&FaultPlan>,
-        tamper: Option<&TamperPlan>,
-    ) -> Result<(BatchAggregationOutcome, Option<DegradedOutcome>), MpcError> {
+            tamper,
+        } = *inputs;
         let ExecState {
             scratch,
             failed_eff,
@@ -876,46 +349,33 @@ impl ExecState {
         let n = config.n_nodes;
         validate_inputs(config, lanes, secrets, failed)?;
 
-        let rf = faults.map(|f| f.realize(round_id, seed));
+        let rf = faults.realize(round_id, seed);
         let mut report = FaultReport::default();
         // Non-members sit outside this round entirely; dropout and churn
-        // then extend the mask further for the round. A member-complete
-        // plan with a zero fault plan leaves the caller's mask untouched
-        // (and unallocated).
-        let membership = plan.membership.as_deref();
-        let failed: &[bool] = if rf.is_some() || membership.is_some() {
-            failed_eff.clear();
-            failed_eff.extend_from_slice(failed);
-            if let Some(live) = membership {
-                for (f, &l) in failed_eff.iter_mut().zip(live) {
-                    *f |= !l;
-                }
+        // then extend the mask further for the round.
+        failed_eff.clear();
+        failed_eff.extend_from_slice(failed);
+        if let Some(live) = plan.membership.as_deref() {
+            for (f, &l) in failed_eff.iter_mut().zip(live) {
+                *f |= !l;
             }
-            if let Some(rf) = rf.as_ref() {
-                for (v, f) in failed_eff.iter_mut().enumerate() {
-                    if !*f && rf.node_down(v) {
-                        *f = true;
-                        report.nodes_dropped += 1;
-                    }
-                }
+        }
+        for (v, f) in failed_eff.iter_mut().enumerate() {
+            if !*f && rf.node_down(v) {
+                *f = true;
+                report.nodes_dropped += 1;
             }
-            failed_eff
-        } else {
-            failed
-        };
+        }
+        let failed: &[bool] = failed_eff;
 
         let attenuation_db = {
             let mut rng = Xoshiro256::seed_from(derive_stream(seed, 0xFAD));
             config.fading.draw(&mut rng)
         };
         // The fault layer sits *under* the link conditions: loss scales
-        // every PRR, extra attenuation shifts the fading draw. Zero plans
-        // build a bit-identical table (`degraded` at loss 0 ≡ `new`), so
-        // both paths share one cache keyed on the operating point.
-        let (total_db, loss) = match rf.as_ref() {
-            Some(rf) => (attenuation_db + rf.extra_attenuation_db(), rf.loss()),
-            None => (attenuation_db, 0.0),
-        };
+        // every PRR, extra attenuation shifts the fading draw.
+        let total_db = attenuation_db + rf.extra_attenuation_db();
+        let loss = rf.loss();
         let conditions = conditions_cache.get(plan.topology(), total_db, loss);
 
         let mut live_source_mask = 0u128;
@@ -1004,6 +464,8 @@ impl ExecState {
             }
         }
 
+        // Predicate: which sub-slots a node must hold before its sharing
+        // duty is complete.
         let sharing_result = {
             let slot_live = &scratch.slot_live;
             let is_destination = &plan.is_destination;
@@ -1015,13 +477,20 @@ impl ExecState {
             plan.sharing_schedule
                 .run_with(conditions, &mut rng, failed, |v, have| {
                     if strict {
+                        // Naive: wait for the complete chain. The static
+                        // schedule has no notion of node liveness, so a dead
+                        // source's sub-slots stall the predicate — exactly
+                        // the rigidity the paper's S4 removes.
                         have.iter().all(|&h| h)
                     } else if is_destination[v] {
+                        // Aggregator: needs exactly the packets addressed
+                        // to it (the plan's per-destination slot index).
                         let di = dest_index[v];
                         slots_by_dest[offsets[di]..offsets[di + 1]]
                             .iter()
                             .all(|&j| !slot_live[j] || have[j])
                     } else {
+                        // Pure relay: no data needs of its own.
                         true
                     }
                 })
@@ -1035,7 +504,7 @@ impl ExecState {
             if failed[d as usize] {
                 continue;
             }
-            // Mirror the scalar SumAccumulator over the lane slab: same
+            // Mirror ppda_sss::SumAccumulator over the lane slab: same
             // source-id/duplicate checks, same field sums, one mask for
             // all lanes (they travel together).
             let row_start = di * lanes;
@@ -1066,15 +535,13 @@ impl ExecState {
                 }
                 // Per-delivery faults: a flooded share can still miss its
                 // decode deadline or arrive twice (idempotent).
-                if let Some(rf) = rf.as_ref() {
-                    match rf.delivery(PHASE_SHARING, j, d as usize) {
-                        Delivery::Delayed => {
-                            report.shares_delayed += 1;
-                            continue;
-                        }
-                        Delivery::Duplicated => report.duplicates += 1,
-                        Delivery::OnTime => {}
+                match rf.delivery(PHASE_SHARING, j, d as usize) {
+                    Delivery::Delayed => {
+                        report.shares_delayed += 1;
+                        continue;
                     }
+                    Delivery::Duplicated => report.duplicates += 1,
+                    Delivery::OnTime => {}
                 }
                 // Multi-frame packets cross the fragment codec before they
                 // decode; single-frame packets keep the pre-fragmentation
@@ -1121,9 +588,7 @@ impl ExecState {
         // Byzantine holder would cheat before flooding its sum packet.
         // Draws are pure functions of (plan seed, round seed, round id,
         // aggregator), so every round replays exactly.
-        let tampering = tamper
-            .filter(|t| !t.is_zero())
-            .map(|t| t.realize(round_id, seed));
+        let tampering = (!tamper.is_zero()).then(|| tamper.realize(round_id, seed));
         if let Some(rt) = tampering.as_ref() {
             for (di, &d) in plan.destinations.iter().enumerate() {
                 if !scratch.sum_live[di] {
@@ -1147,6 +612,9 @@ impl ExecState {
         }
 
         // ---- Reconstruction phase ------------------------------------------
+        // A sum share is *usable* for threshold reconstruction when it
+        // covers every live source. (A node discovers this bit the moment
+        // it decodes the packet; precomputing it here is timing-equivalent.)
         for di in 0..plan.destinations.len() {
             scratch.usable[di] = scratch.sum_live[di] && scratch.sum_mask[di] == live_source_mask;
         }
@@ -1215,14 +683,13 @@ impl ExecState {
         // The degraded round's survivor set: destinations whose sum share
         // covers every live source — the shares the network can still
         // reconstruct the full aggregate from.
-        let survivors: Option<Vec<u16>> = rf.as_ref().map(|_| {
-            plan.destinations
-                .iter()
-                .enumerate()
-                .filter(|&(di, _)| scratch.usable[di])
-                .map(|(_, &d)| d)
-                .collect()
-        });
+        let survivors: Vec<u16> = plan
+            .destinations
+            .iter()
+            .enumerate()
+            .filter(|&(di, _)| scratch.usable[di])
+            .map(|(_, &d)| d)
+            .collect();
         let threshold = plan.threshold;
         let recon_result = {
             let strict = plan.variant.strict_completion;
@@ -1259,6 +726,8 @@ impl ExecState {
                 continue;
             }
             live_nodes += 1;
+            // A naive (strict) node only delivers once its all-to-all
+            // predicate held — it has no protocol step for partial data.
             let (aggregates, included) =
                 if strict && recon_result.nodes[v].predicate_met_at.is_none() {
                     (None, 0)
@@ -1274,16 +743,14 @@ impl ExecState {
                         }
                         // A node's own sum never crossed a link; only
                         // relayed sums can suffer delivery faults.
-                        if let Some(rf) = rf.as_ref() {
-                            if plan.destinations[di] as usize != v {
-                                match rf.delivery(PHASE_RECONSTRUCTION, di, v) {
-                                    Delivery::Delayed => {
-                                        report.sums_delayed += 1;
-                                        continue;
-                                    }
-                                    Delivery::Duplicated => report.duplicates += 1,
-                                    Delivery::OnTime => {}
+                        if plan.destinations[di] as usize != v {
+                            match rf.delivery(PHASE_RECONSTRUCTION, di, v) {
+                                Delivery::Delayed => {
+                                    report.sums_delayed += 1;
+                                    continue;
                                 }
+                                Delivery::Duplicated => report.duplicates += 1,
+                                Delivery::OnTime => {}
                             }
                         }
                         scratch.held.push(di);
@@ -1320,26 +787,24 @@ impl ExecState {
             });
         }
 
-        let degraded = survivors.map(|survivors| {
-            let recovery = if survivors.len() >= threshold {
-                RecoveryStatus::Recovered {
-                    margin: survivors.len() - threshold,
-                }
-            } else {
-                RecoveryStatus::Failed {
-                    missing: threshold - survivors.len(),
-                }
-            };
-            DegradedOutcome {
-                threshold,
-                survivors,
-                recovery,
-                nodes_recovered,
-                live_nodes,
-                faults: report,
-                integrity,
+        let recovery = if survivors.len() >= threshold {
+            RecoveryStatus::Recovered {
+                margin: survivors.len() - threshold,
             }
-        });
+        } else {
+            RecoveryStatus::Failed {
+                missing: threshold - survivors.len(),
+            }
+        };
+        let degraded = DegradedOutcome {
+            threshold,
+            survivors,
+            recovery,
+            nodes_recovered,
+            live_nodes,
+            faults: report,
+            integrity,
+        };
 
         Ok((
             BatchAggregationOutcome {
@@ -1369,70 +834,13 @@ impl ExecState {
     }
 }
 
-/// Reconstruct the aggregate from whatever sum shares a node holds:
-/// group by contributor mask, prefer the mask covering the most sources
-/// (ties: the mask held by more nodes), and reconstruct once a group
-/// reaches degree+1 members — via the plan's precomputed Lagrange weights
-/// when the chosen subset is the canonical one.
-fn aggregate_from_sums(
-    held: &[&SumPacket<Field>],
-    degree: usize,
-    weights: &ReconstructionPlan<Field>,
-) -> (Option<Gf<Field>>, u32) {
-    use std::collections::HashMap;
-    // Fast path: in a loss-free round every held sum carries the same
-    // mask, making the mask-grouping below a one-entry map — skip it.
-    if held.windows(2).all(|w| w[0].mask == w[1].mask) {
-        let Some(first) = held.first() else {
-            return (None, 0);
-        };
-        if first.mask == 0 || held.len() < degree + 1 {
-            return (None, 0);
-        }
-        let mut members: Vec<&&SumPacket<Field>> = held.iter().collect();
-        members.sort_by_key(|p| p.share.x);
-        let points: Vec<Share<Field>> = members[..degree + 1].iter().map(|p| p.share).collect();
-        return match weights.reconstruct(&points) {
-            Ok(v) => (Some(v), first.mask.count_ones()),
-            Err(_) => (None, 0),
-        };
-    }
-    let mut groups: HashMap<u128, Vec<&SumPacket<Field>>> = HashMap::new();
-    for p in held {
-        groups.entry(p.mask).or_default().push(p);
-    }
-    let mut best: Option<(u32, usize, u128)> = None;
-    for (&mask, members) in &groups {
-        // An empty mask is an aggregate of nothing; never reconstruct it.
-        if mask == 0 || members.len() < degree + 1 {
-            continue;
-        }
-        // The mask itself is the final tie-break: group iteration order
-        // comes from a HashMap, and determinism across processes is part
-        // of the protocol contract.
-        let key = (mask.count_ones(), members.len(), mask);
-        if best.is_none_or(|b| key > b) {
-            best = Some(key);
-        }
-    }
-    let Some((bits, _, mask)) = best else {
-        return (None, 0);
-    };
-    let mut members: Vec<&&SumPacket<Field>> = groups[&mask].iter().collect();
-    members.sort_by_key(|p| p.share.x);
-    let points: Vec<Share<Field>> = members[..degree + 1].iter().map(|p| p.share).collect();
-    match weights.reconstruct(&points) {
-        Ok(v) => (Some(v), bits),
-        Err(_) => (None, 0),
-    }
-}
-
-/// The lane-batched twin of [`aggregate_from_sums`]: the same mask-group
-/// selection over destination indices, then one weight application across
-/// all lanes — plan weights on the canonical subset, cached survivor-mask
-/// weights otherwise (value-identical to a fresh basis; see
-/// [`WeightCache`]). Lane 0 of a 1-lane batch equals the scalar result
-/// exactly.
+/// Reconstruct every lane's aggregate from the sum shares a node holds
+/// (`held` indexes destinations): group by contributor mask, prefer the
+/// mask covering the most sources (ties: the mask held by more nodes),
+/// and reconstruct once a group reaches degree+1 members — one weight
+/// application across all lanes, with the plan's weights on the canonical
+/// subset and cached survivor-mask weights otherwise (value-identical to
+/// a fresh basis; see [`WeightCache`]).
 #[allow(clippy::too_many_arguments)]
 fn aggregate_lanes(
     held: &[usize],
@@ -1527,6 +935,20 @@ fn aggregate_lanes(
 mod tests {
     use super::*;
     use ppda_field::share_x;
+    use ppda_sss::{Share, SumPacket};
+
+    fn readings(c: &ProtocolConfig, round_id: u32, seed: u64, lanes: usize) -> Vec<u64> {
+        let mut out = vec![u64::MAX; 3]; // stale contents are cleared
+        readings_into(
+            &Aes128::new(&c.master_key),
+            c,
+            round_id,
+            seed,
+            lanes,
+            &mut out,
+        );
+        out
+    }
 
     #[test]
     fn readings_are_deterministic_and_bounded() {
@@ -1534,31 +956,88 @@ mod tests {
             .max_reading(100)
             .build()
             .unwrap();
-        let a = generate_readings(&c, c.round_id, 5);
-        let b = generate_readings(&c, c.round_id, 5);
+        let a = readings(&c, c.round_id, 5, 1);
+        let b = readings(&c, c.round_id, 5, 1);
         assert_eq!(a, b);
         assert_eq!(a.len(), 10);
         assert!(a.iter().all(|&v| v < 100));
-        assert_ne!(a, generate_readings(&c, c.round_id, 6));
-        assert_ne!(a, generate_readings(&c, c.round_id + 1, 5));
+        assert_ne!(a, readings(&c, c.round_id, 6, 1));
+        assert_ne!(a, readings(&c, c.round_id + 1, 5, 1));
     }
 
     #[test]
     fn batched_readings_extend_the_scalar_stream() {
-        // Lane-major per source: lane 0 of a B-lane draw is NOT required
-        // to equal the scalar draw (the DRBG stream interleaves), but a
-        // 1-lane draw must be the scalar sequence exactly.
+        // Lane-major per source: lane 0 of a B-lane draw is NOT the 1-lane
+        // draw of the same source (the DRBG stream interleaves), but the
+        // 1-lane draw is the B-lane stream's prefix.
         let c = ProtocolConfig::builder(8)
             .max_reading(1000)
             .build()
             .unwrap();
-        let master = Aes128::new(&c.master_key);
-        let scalar = generate_readings(&c, c.round_id, 3);
-        let one_lane = readings_with_cipher(&master, &c, c.round_id, 3, 1);
-        assert_eq!(scalar, one_lane);
-        let four_lanes = readings_with_cipher(&master, &c, c.round_id, 3, 4);
+        let one_lane = readings(&c, c.round_id, 3, 1);
+        let four_lanes = readings(&c, c.round_id, 3, 4);
         assert_eq!(four_lanes.len(), 8 * 4);
         assert!(four_lanes.iter().all(|&v| v < 1000));
+        assert_eq!(four_lanes[..8], one_lane[..]);
+    }
+
+    /// Reconstruct the aggregate from whatever sum shares a node holds:
+    /// group by contributor mask, prefer the mask covering the most sources
+    /// (ties: the mask held by more nodes), and reconstruct once a group
+    /// reaches degree+1 members — via the plan's precomputed Lagrange weights
+    /// when the chosen subset is the canonical one. The packet-level oracle
+    /// the `aggregate_lanes_*` tests check the slab form against.
+    fn aggregate_from_sums(
+        held: &[&SumPacket<Field>],
+        degree: usize,
+        weights: &ReconstructionPlan<Field>,
+    ) -> (Option<Elem>, u32) {
+        use std::collections::HashMap;
+        // Fast path: in a loss-free round every held sum carries the same
+        // mask, making the mask-grouping below a one-entry map — skip it.
+        if held.windows(2).all(|w| w[0].mask == w[1].mask) {
+            let Some(first) = held.first() else {
+                return (None, 0);
+            };
+            if first.mask == 0 || held.len() < degree + 1 {
+                return (None, 0);
+            }
+            let mut members: Vec<&&SumPacket<Field>> = held.iter().collect();
+            members.sort_by_key(|p| p.share.x);
+            let points: Vec<Share<Field>> = members[..degree + 1].iter().map(|p| p.share).collect();
+            return match weights.reconstruct(&points) {
+                Ok(v) => (Some(v), first.mask.count_ones()),
+                Err(_) => (None, 0),
+            };
+        }
+        let mut groups: HashMap<u128, Vec<&SumPacket<Field>>> = HashMap::new();
+        for p in held {
+            groups.entry(p.mask).or_default().push(p);
+        }
+        let mut best: Option<(u32, usize, u128)> = None;
+        for (&mask, members) in &groups {
+            // An empty mask is an aggregate of nothing; never reconstruct it.
+            if mask == 0 || members.len() < degree + 1 {
+                continue;
+            }
+            // The mask itself is the final tie-break: group iteration order
+            // comes from a HashMap, and determinism across processes is part
+            // of the protocol contract.
+            let key = (mask.count_ones(), members.len(), mask);
+            if best.is_none_or(|b| key > b) {
+                best = Some(key);
+            }
+        }
+        let Some((bits, _, mask)) = best else {
+            return (None, 0);
+        };
+        let mut members: Vec<&&SumPacket<Field>> = groups[&mask].iter().collect();
+        members.sort_by_key(|p| p.share.x);
+        let points: Vec<Share<Field>> = members[..degree + 1].iter().map(|p| p.share).collect();
+        match weights.reconstruct(&points) {
+            Ok(v) => (Some(v), bits),
+            Err(_) => (None, 0),
+        }
     }
 
     fn weights(nodes: &[usize], threshold: usize) -> ReconstructionPlan<Field> {
@@ -1673,6 +1152,20 @@ mod tests {
         );
         assert_eq!(agg, Some(vec![10, 30]));
         assert_eq!(bits, 3);
+        // Lane 0 agrees with the packet-level oracle on the same shares.
+        let packets: Vec<SumPacket<Field>> = (0..4)
+            .map(|di| SumPacket {
+                node: di as u16,
+                round: 0,
+                share: Share {
+                    x: dest_xs[di],
+                    y: sum_ys[di * 2],
+                },
+                mask: sum_mask[di],
+            })
+            .collect();
+        let oracle = aggregate_from_sums(&packets.iter().collect::<Vec<_>>(), 1, &w);
+        assert_eq!(oracle, (Some(Elem::new(10)), bits));
     }
 
     #[test]

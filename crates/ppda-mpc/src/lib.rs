@@ -1,13 +1,14 @@
 //! **The paper's contribution**: Shamir Secret Sharing hosted on MiniCast
 //! for privacy-preserving data aggregation in low-power IoT networks.
 //!
-//! Two protocol variants, exactly as evaluated in Goyal & Saha (ICDCS'22):
+//! Two protocol variants ([`ProtocolKind`]), exactly as evaluated in
+//! Goyal & Saha (ICDCS'22):
 //!
-//! * [`S3Protocol`] — the *naive* mapping. Every source encrypts one share
-//!   for **every** node (sharing chain of `S × n` sub-slots, AES-128-CCM per
-//!   packet) and both phases run at a full-coverage NTX. Reconstruction
-//!   shares all `n` local sums in plaintext.
-//! * [`S4Protocol`] — the *scalable* variant. A low polynomial degree
+//! * [`ProtocolKind::S3`] — the *naive* mapping. Every source encrypts one
+//!   share for **every** node (sharing chain of `S × n` sub-slots,
+//!   AES-128-CCM per packet) and both phases run at a full-coverage NTX.
+//!   Reconstruction shares all `n` local sums in plaintext.
+//! * [`ProtocolKind::S4`] — the *scalable* variant. A low polynomial degree
 //!   `k = ⌊n/3⌋` means `k+1` shares suffice, so the sharing chain is
 //!   trimmed to the `k+1+r` designated **aggregator** nodes discovered
 //!   during [`Bootstrap`], both phases run at a low NTX (6 on FlockLab, 5
@@ -70,8 +71,7 @@ mod execute;
 mod membership;
 mod outcome;
 mod plan;
-mod s3;
-mod s4;
+#[cfg(test)]
 mod session;
 
 pub use bootstrap::Bootstrap;
@@ -80,12 +80,10 @@ pub use driver::{
     Deployment, DeploymentBuilder, DriverStats, MembershipMode, RoundDriver, RoundObserver,
 };
 pub use error::MpcError;
-pub use execute::RoundExecutor;
 pub use membership::{MembershipDelta, MembershipTimeline, PlanPatch};
 pub use outcome::{
-    AggregationOutcome, BatchAggregationOutcome, BatchNodeResult, DegradedBatchOutcome,
-    DegradedOutcome, DegradedRound, FaultReport, NodeResult, PhaseStats, RecoveryStatus,
-    RoundReport,
+    BatchAggregationOutcome, BatchNodeResult, DegradedOutcome, FaultReport, PhaseStats,
+    RecoveryStatus, RoundReport,
 };
 pub use plan::{ProtocolKind, RoundPlan};
 // The fault/churn model consumed by every driven round, re-exported so
@@ -96,9 +94,6 @@ pub use ppda_ct::{Delivery, FaultPlan};
 // model driven rounds (and tests) inject with.
 pub use ppda_integrity::{IntegrityMode, IntegrityVerdict, ShareCommitment, SumAudit, TamperPlan};
 pub use ppda_sim::{ChurnSchedule, MembershipEvent, MembershipEventKind, TrickleConfig};
-pub use s3::S3Protocol;
-pub use s4::S4Protocol;
-pub use session::{AggregationSession, SessionProtocol, SessionStats};
 
 /// The field all protocol arithmetic runs in (p = 2³¹ − 1): a sensor
 /// reading is ≤ 2²⁰ and even 128 sources cannot wrap the modulus.

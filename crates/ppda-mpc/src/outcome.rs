@@ -49,120 +49,6 @@ pub struct PhaseStats {
     pub fragments: u32,
 }
 
-/// The outcome at one node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeResult {
-    /// The aggregate the node computed, if it could (field value).
-    pub aggregate: Option<u64>,
-    /// Number of source readings included in that aggregate.
-    pub included_sources: u32,
-    /// Time from round start until this node held the final aggregation
-    /// (the paper's latency metric); `None` if it never could.
-    pub latency: Option<SimDuration>,
-    /// Total radio-on time across both phases (the paper's second metric).
-    pub radio_on: SimDuration,
-    /// Radio energy for the round (mJ, nRF52840 current profile).
-    pub energy_mj: f64,
-    /// Whether this node was failure-injected.
-    pub failed: bool,
-}
-
-/// Complete outcome of one aggregation round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggregationOutcome {
-    /// Protocol name: `"S3"` or `"S4"`.
-    pub protocol: &'static str,
-    /// The true aggregate (field value) over live sources.
-    pub expected_sum: u64,
-    /// Per-node results, indexed by node id.
-    pub nodes: Vec<NodeResult>,
-    /// Sharing-phase transport stats.
-    pub sharing: PhaseStats,
-    /// Reconstruction-phase transport stats.
-    pub reconstruction: PhaseStats,
-    /// Polynomial degree used.
-    pub degree: usize,
-    /// Number of designated aggregators (n for S3).
-    pub aggregator_count: usize,
-    /// Number of configured sources.
-    pub source_count: usize,
-}
-
-impl AggregationOutcome {
-    /// Live (non-failed) node results.
-    pub fn live_nodes(&self) -> impl Iterator<Item = &NodeResult> {
-        self.nodes.iter().filter(|n| !n.failed)
-    }
-
-    /// `true` if every live node computed the correct aggregate.
-    pub fn correct(&self) -> bool {
-        self.live_nodes()
-            .all(|n| n.aggregate == Some(self.expected_sum))
-    }
-
-    /// `true` if all live nodes that produced an aggregate agree on it.
-    pub fn all_nodes_agree(&self) -> bool {
-        let mut seen = None;
-        for n in self.live_nodes() {
-            match (n.aggregate, seen) {
-                (Some(a), None) => seen = Some(a),
-                (Some(a), Some(b)) if a != b => return false,
-                _ => {}
-            }
-        }
-        seen.is_some()
-    }
-
-    /// Fraction of live nodes that obtained the correct aggregate.
-    pub fn success_fraction(&self) -> f64 {
-        let live: Vec<_> = self.live_nodes().collect();
-        if live.is_empty() {
-            return 0.0;
-        }
-        let ok = live
-            .iter()
-            .filter(|n| n.aggregate == Some(self.expected_sum))
-            .count();
-        ok as f64 / live.len() as f64
-    }
-
-    /// Worst-case latency over live nodes, ms (`None` if any live node
-    /// never finished).
-    pub fn max_latency_ms(&self) -> Option<f64> {
-        fold_max_latency_ms(self.live_nodes().map(|n| n.latency))
-    }
-
-    /// Mean latency over live nodes that finished, ms (`None` if none did).
-    pub fn mean_latency_ms(&self) -> Option<f64> {
-        mean_of(
-            self.live_nodes()
-                .filter_map(|n| n.latency.map(|l| l.as_millis_f64())),
-        )
-    }
-
-    /// Mean radio-on time over live nodes, ms.
-    pub fn mean_radio_on_ms(&self) -> f64 {
-        mean_of(self.live_nodes().map(|n| n.radio_on.as_millis_f64())).unwrap_or(0.0)
-    }
-
-    /// Worst radio-on time over live nodes, ms.
-    pub fn max_radio_on_ms(&self) -> f64 {
-        self.live_nodes()
-            .map(|n| n.radio_on.as_millis_f64())
-            .fold(0.0, f64::max)
-    }
-
-    /// Mean per-node radio energy over live nodes, mJ.
-    pub fn mean_energy_mj(&self) -> f64 {
-        mean_of(self.live_nodes().map(|n| n.energy_mj)).unwrap_or(0.0)
-    }
-
-    /// Total scheduled round duration (both phases), ms.
-    pub fn scheduled_round_ms(&self) -> f64 {
-        (self.sharing.scheduled_duration + self.reconstruction.scheduled_duration).as_millis_f64()
-    }
-}
-
 /// The outcome at one node of a batched round: one aggregate per lane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchNodeResult {
@@ -183,12 +69,8 @@ pub struct BatchNodeResult {
 }
 
 /// Complete outcome of one batched aggregation round: B independent
-/// aggregates at one round's transport cost.
-///
-/// A 1-lane batch is informationally identical to [`AggregationOutcome`];
-/// [`BatchAggregationOutcome::into_scalar`] performs that conversion (and
-/// the `plan_reuse` suite proves the executed values are byte-identical to
-/// the scalar path).
+/// aggregates at one round's transport cost (B = 1 is the paper's scalar
+/// round).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchAggregationOutcome {
     /// Protocol name: `"S3"` or `"S4"`.
@@ -227,6 +109,32 @@ impl BatchAggregationOutcome {
             .all(|n| n.aggregates.as_deref() == Some(&self.expected_sums[..]))
     }
 
+    /// `true` if all live nodes that produced aggregates agree on them.
+    pub fn all_nodes_agree(&self) -> bool {
+        let mut seen = None;
+        for n in self.live_nodes() {
+            match (n.aggregates.as_deref(), seen) {
+                (Some(a), None) => seen = Some(a),
+                (Some(a), Some(b)) if a != b => return false,
+                _ => {}
+            }
+        }
+        seen.is_some()
+    }
+
+    /// Fraction of live nodes that obtained every lane's correct aggregate.
+    pub fn success_fraction(&self) -> f64 {
+        let live: Vec<_> = self.live_nodes().collect();
+        if live.is_empty() {
+            return 0.0;
+        }
+        let ok = live
+            .iter()
+            .filter(|n| n.aggregates.as_deref() == Some(&self.expected_sums[..]))
+            .count();
+        ok as f64 / live.len() as f64
+    }
+
     /// Worst-case latency over live nodes, ms (`None` if any live node
     /// never finished).
     pub fn max_latency_ms(&self) -> Option<f64> {
@@ -254,35 +162,6 @@ impl BatchAggregationOutcome {
     /// Total scheduled round duration (both phases), ms.
     pub fn scheduled_round_ms(&self) -> f64 {
         (self.sharing.scheduled_duration + self.reconstruction.scheduled_duration).as_millis_f64()
-    }
-
-    /// Convert a 1-lane outcome into the scalar form; `None` for wider
-    /// batches (they have no scalar equivalent).
-    pub fn into_scalar(self) -> Option<AggregationOutcome> {
-        if self.lanes != 1 {
-            return None;
-        }
-        Some(AggregationOutcome {
-            protocol: self.protocol,
-            expected_sum: self.expected_sums[0],
-            nodes: self
-                .nodes
-                .into_iter()
-                .map(|n| NodeResult {
-                    aggregate: n.aggregates.map(|a| a[0]),
-                    included_sources: n.included_sources,
-                    latency: n.latency,
-                    radio_on: n.radio_on,
-                    energy_mj: n.energy_mj,
-                    failed: n.failed,
-                })
-                .collect(),
-            sharing: self.sharing,
-            reconstruction: self.reconstruction,
-            degree: self.degree,
-            aggregator_count: self.aggregator_count,
-            source_count: self.source_count,
-        })
     }
 }
 
@@ -347,9 +226,8 @@ pub enum RecoveryStatus {
 }
 
 /// The degraded-operation report of one round: who survived, whether the
-/// threshold held, and which faults were observed. Produced by the
-/// fault-injected execution paths instead of silently assuming complete
-/// delivery.
+/// threshold held, and which faults were observed. Every driven round
+/// produces one instead of silently assuming complete delivery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedOutcome {
     /// Reconstruction threshold t = degree + 1.
@@ -466,42 +344,11 @@ impl fmt::Display for DegradedOutcome {
     }
 }
 
-/// A batched round executed under fault injection: the regular outcome
-/// plus the degraded-operation report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedBatchOutcome {
-    /// The round's aggregation outcome (per-node, per-lane).
-    pub round: BatchAggregationOutcome,
-    /// The degraded-operation report.
-    pub degraded: DegradedOutcome,
-}
-
-impl DegradedBatchOutcome {
-    /// Convert a 1-lane degraded outcome into the scalar form; `None`
-    /// for wider batches.
-    pub fn into_scalar(self) -> Option<DegradedRound> {
-        Some(DegradedRound {
-            round: self.round.into_scalar()?,
-            degraded: self.degraded,
-        })
-    }
-}
-
-/// A scalar round executed under fault injection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedRound {
-    /// The round's aggregation outcome.
-    pub round: AggregationOutcome,
-    /// The degraded-operation report.
-    pub degraded: DegradedOutcome,
-}
-
 /// The unified report of one driven round — what every round of a
 /// [`Deployment`](crate::Deployment) produces, whatever the lane width or
 /// fault plan.
 ///
-/// This collapses the historical plain/degraded × scalar/batch outcome
-/// split: a report always carries the per-lane aggregates (B = 1 is the
+/// A report always carries the per-lane aggregates (B = 1 is the
 /// paper's scalar round), the survivor set and [`RecoveryStatus`] (a
 /// fault-free round simply recovers with full margin), the observed
 /// [`FaultReport`], and the round's transport statistics.
@@ -621,15 +468,6 @@ impl RoundReport {
     pub fn membership_patch(&self) -> Option<&PlanPatch> {
         self.patch.as_ref()
     }
-
-    /// Convert a 1-lane report into the scalar outcome pair; `None` for
-    /// wider batches (they have no scalar equivalent).
-    pub fn into_scalar(self) -> Option<DegradedRound> {
-        Some(DegradedRound {
-            round: self.outcome.into_scalar()?,
-            degraded: self.degraded,
-        })
-    }
 }
 
 impl fmt::Display for RoundReport {
@@ -665,9 +503,9 @@ impl fmt::Display for RoundReport {
 mod tests {
     use super::*;
 
-    fn node(aggregate: Option<u64>, latency_ms: Option<u64>, failed: bool) -> NodeResult {
-        NodeResult {
-            aggregate,
+    fn node(aggregate: Option<u64>, latency_ms: Option<u64>, failed: bool) -> BatchNodeResult {
+        BatchNodeResult {
+            aggregates: aggregate.map(|a| vec![a]),
             included_sources: 3,
             latency: latency_ms.map(SimDuration::from_millis),
             radio_on: SimDuration::from_millis(10),
@@ -688,17 +526,8 @@ mod tests {
         }
     }
 
-    fn outcome(nodes: Vec<NodeResult>) -> AggregationOutcome {
-        AggregationOutcome {
-            protocol: "S4",
-            expected_sum: 42,
-            nodes,
-            sharing: phase(),
-            reconstruction: phase(),
-            degree: 2,
-            aggregator_count: 5,
-            source_count: 3,
-        }
+    fn outcome(nodes: Vec<BatchNodeResult>) -> BatchAggregationOutcome {
+        batch_outcome(1, nodes)
     }
 
     #[test]
@@ -752,7 +581,6 @@ mod tests {
             node(Some(42), Some(5), false),
         ]);
         assert_eq!(o.mean_radio_on_ms(), 10.0);
-        assert_eq!(o.max_radio_on_ms(), 10.0);
         assert_eq!(o.scheduled_round_ms(), 200.0);
         assert!((o.mean_energy_mj() - 0.15).abs() < 1e-12);
     }
@@ -799,18 +627,6 @@ mod tests {
         assert!(!one_lane_wrong.correct());
         let failed_ignored = batch_outcome(2, vec![batch_node(None, true)]);
         assert!(failed_ignored.correct(), "no live nodes, vacuously correct");
-    }
-
-    #[test]
-    fn into_scalar_only_for_single_lane() {
-        let wide = batch_outcome(2, vec![batch_node(Some(vec![42, 43]), false)]);
-        assert!(wide.into_scalar().is_none());
-
-        let narrow = batch_outcome(1, vec![batch_node(Some(vec![42]), false)]);
-        let scalar = narrow.into_scalar().unwrap();
-        assert_eq!(scalar.expected_sum, 42);
-        assert_eq!(scalar.nodes[0].aggregate, Some(42));
-        assert!(scalar.correct());
     }
 
     fn degraded(recovery: RecoveryStatus) -> DegradedOutcome {
@@ -912,14 +728,10 @@ mod tests {
         assert!(text.starts_with(
             "round 9 seed 77\nprotocol S4 lanes 2\nexpected 42 43\nrecovery recovered margin=1\n"
         ));
-        assert!(
-            report.into_scalar().is_none(),
-            "2 lanes have no scalar form"
-        );
     }
 
     #[test]
-    fn round_report_scalar_conversion_and_failure() {
+    fn round_report_reports_failure() {
         let report = RoundReport {
             round_id: 1,
             seed: 5,
@@ -933,34 +745,5 @@ mod tests {
             report.require_recovered(),
             Err(MpcError::AggregationFailed { missing: 2 })
         ));
-        let scalar = report.into_scalar().unwrap();
-        assert_eq!(scalar.round.expected_sum, 42);
-        assert!(!scalar.degraded.recovered());
-    }
-
-    #[test]
-    fn batch_outcome_round_stats_match_scalar_form() {
-        let batch = batch_outcome(1, vec![batch_node(Some(vec![42]), false)]);
-        let scalar = batch.clone().into_scalar().unwrap();
-        assert_eq!(batch.mean_latency_ms(), scalar.mean_latency_ms());
-        assert_eq!(batch.mean_radio_on_ms(), scalar.mean_radio_on_ms());
-        assert_eq!(batch.mean_energy_mj(), scalar.mean_energy_mj());
-        assert_eq!(batch.scheduled_round_ms(), scalar.scheduled_round_ms());
-    }
-
-    #[test]
-    fn degraded_into_scalar_mirrors_batch_rule() {
-        let wide = DegradedBatchOutcome {
-            round: batch_outcome(2, vec![batch_node(Some(vec![42, 43]), false)]),
-            degraded: degraded(RecoveryStatus::Recovered { margin: 0 }),
-        };
-        assert!(wide.into_scalar().is_none());
-        let narrow = DegradedBatchOutcome {
-            round: batch_outcome(1, vec![batch_node(Some(vec![42]), false)]),
-            degraded: degraded(RecoveryStatus::Recovered { margin: 0 }),
-        };
-        let scalar = narrow.into_scalar().unwrap();
-        assert_eq!(scalar.round.expected_sum, 42);
-        assert!(scalar.degraded.recovered());
     }
 }

@@ -6,9 +6,8 @@
 //! *deployment* `(topology, config, variant)`, while each aggregation round
 //! only contributes fresh readings, fresh randomness, and a failure mask.
 //! [`RoundPlan`] compiles everything deployment-scoped exactly once; the
-//! per-round remainder lives in [`execute`](crate::execute) and is reachable
-//! through [`RoundPlan::run`], [`RoundPlan::run_with`] and
-//! [`RoundPlan::run_epoch`].
+//! per-round remainder lives in `execute` and is reachable through a
+//! [`RoundDriver`](crate::RoundDriver).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -68,9 +67,23 @@ pub(crate) const S4_VARIANT: Variant = Variant {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
-    /// Naive SSS over MiniCast.
+    /// Naive SSS over MiniCast (paper §II): every source sends one
+    /// encrypted share to **every** node — an O(n²)-sub-slot sharing
+    /// chain — and both phases run at the full-coverage NTX so that strict
+    /// all-to-all delivery holds.
     S3,
-    /// Scalable SSS over MiniCast.
+    /// Scalable SSS over MiniCast (paper §III): three optimizations over
+    /// S3, all enabled by the low polynomial degree `k`:
+    ///
+    /// 1. **Trimmed sharing chain** — shares go only to the `k+1+r`
+    ///    designated aggregators discovered at bootstrap, shrinking the
+    ///    chain from `O(S·n)` to `O(S·(k+1))` sub-slots.
+    /// 2. **Low NTX** — both phases run just long enough to reach the
+    ///    necessary neighbors (the paper's NTX = 6 on FlockLab / 5 on
+    ///    DCube), exploiting MiniCast's steep coverage-vs-NTX curve.
+    /// 3. **Any-(k+1) reconstruction** — a node finishes (and sleeps) as
+    ///    soon as it holds any `k+1` matching sum shares, which also
+    ///    tolerates aggregator failures.
     S4,
 }
 
@@ -114,19 +127,27 @@ pub(crate) struct ShareSlotSpec {
 ///
 /// The plan borrows the topology by default (zero-copy for campaign
 /// fan-out); [`RoundPlan::into_owned`] detaches it for long-lived holders
-/// such as [`AggregationSession`](crate::AggregationSession).
+/// such as membership-driven [`RoundDriver`](crate::RoundDriver)s, which
+/// patch their own copy. Rounds run through a
+/// [`Deployment`](crate::Deployment), which compiles its plan once.
 ///
 /// # Example
 ///
 /// ```
-/// use ppda_mpc::{ProtocolConfig, ProtocolKind, RoundPlan};
+/// use ppda_mpc::{Deployment, ProtocolConfig, ProtocolKind, RoundPlan};
 /// use ppda_topology::Topology;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let topology = Topology::flocklab();
 /// let config = ProtocolConfig::builder(topology.len()).sources(6).build()?;
 /// let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4)?;
-/// for seed in 0..3 {
-///     assert!(plan.run(seed)?.correct());
+/// assert_eq!(plan.threshold(), config.degree + 1);
+/// let deployment = Deployment::builder()
+///     .topology_ref(&topology)
+///     .config(config)
+///     .build()?;
+/// assert_eq!(deployment.plan().destinations(), plan.destinations());
+/// for report in deployment.driver().take(3) {
+///     assert!(report?.correct());
 /// }
 /// # Ok(())
 /// # }
@@ -193,8 +214,10 @@ impl<'t> RoundPlan<'t> {
     ///   configured one.
     /// * [`MpcError::TopologyDisconnected`] if the network is not connected
     ///   at the configured link threshold.
-    /// * [`MpcError::InvalidConfig`] if a frame or chain constraint is
-    ///   violated.
+    /// * [`MpcError::InvalidConfig`] or [`MpcError::BatchTooWide`] if the
+    ///   configuration fails [`ProtocolConfig::validate`] (its fields are
+    ///   public, so a config need not come from the builder), or a frame
+    ///   or chain constraint is violated.
     pub fn new(
         topology: &'t Topology,
         config: &ProtocolConfig,
@@ -252,6 +275,7 @@ impl<'t> RoundPlan<'t> {
         kind: ProtocolKind,
         membership: Option<Vec<bool>>,
     ) -> Result<RoundPlan<'t>, MpcError> {
+        config.validate()?;
         let variant = kind.variant();
         let n = config.n_nodes;
         let bootstrap = Bootstrap::run(&topology, &config)?;
@@ -544,14 +568,6 @@ impl<'t> RoundPlan<'t> {
     pub(crate) fn survivor_weight_cache(&self) -> Option<ppda_sss::WeightCache<Field>> {
         ppda_sss::WeightCache::new(&self.dest_xs, self.threshold).ok()
     }
-
-    /// A per-caller round executor holding reusable scratch buffers
-    /// (sealed payloads, share slabs, sum slabs) so repeated rounds do not
-    /// reallocate. The plan itself stays shared and immutable — campaign
-    /// workers each take their own executor over one borrowed plan.
-    pub fn executor(&self) -> crate::execute::RoundExecutor<'_, 't> {
-        crate::execute::RoundExecutor::new(self)
-    }
 }
 
 /// The destination set for a membership view: all members (S3) or the
@@ -748,6 +764,7 @@ fn build_recon_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute::{readings_into, ExecState, RoundInputs};
 
     #[test]
     fn s4_plan_trims_to_aggregators() {
@@ -808,6 +825,17 @@ mod tests {
     }
 
     #[test]
+    fn plan_revalidates_configs() {
+        let t = Topology::flocklab();
+        let mut config = ProtocolConfig::builder(26).sources(4).build().unwrap();
+        config.degree = 40;
+        assert!(matches!(
+            RoundPlan::new(&t, &config, ProtocolKind::S4),
+            Err(MpcError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
     fn owned_plan_is_detached() {
         let config = ProtocolConfig::builder(26).sources(4).build().unwrap();
         let plan = {
@@ -817,7 +845,30 @@ mod tests {
                 .into_owned()
         };
         assert_eq!(plan.topology().len(), 26);
-        assert!(plan.run(5).unwrap().correct());
+        let config = plan.config();
+        let mut readings = Vec::new();
+        readings_into(
+            &plan.master_cipher,
+            config,
+            config.round_id,
+            5,
+            1,
+            &mut readings,
+        );
+        let (outcome, _) = ExecState::new(&plan)
+            .run(
+                &plan,
+                &RoundInputs {
+                    round_id: config.round_id,
+                    seed: 5,
+                    readings: &readings,
+                    failed: &[false; 26],
+                    faults: &ppda_ct::FaultPlan::none(),
+                    tamper: &ppda_integrity::TamperPlan::none(),
+                },
+            )
+            .unwrap();
+        assert!(outcome.correct());
     }
 
     #[test]

@@ -1,271 +1,44 @@
-//! Multi-round aggregation sessions (legacy wrapper).
-//!
-//! [`AggregationSession`] predates the [`Deployment`] façade and is kept
-//! as a thin delegating wrapper: it owns a `Deployment`, replays one
-//! compiled plan across epochs, and converts each epoch's
-//! [`RoundReport`](crate::RoundReport) back into the historical scalar
-//! outcome types. New code should use [`Deployment::builder`] and drive
-//! rounds with a [`RoundDriver`](crate::RoundDriver) — see the migration
-//! notes in `CHANGES.md`.
+//! A [`RoundDriver`](crate::RoundDriver) as a long-running aggregation
+//! session: one compiled deployment streaming epochs, each under a fresh
+//! round id and seed. Test-only — the behaviour lives in the driver.
 
-use ppda_ct::FaultPlan;
-use ppda_topology::Topology;
-
-use crate::config::ProtocolConfig;
-use crate::driver::Deployment;
-use crate::error::MpcError;
-use crate::outcome::{AggregationOutcome, DegradedRound};
-use crate::plan::{ProtocolKind, RoundPlan};
-
-/// Which protocol variant a session runs (alias of [`ProtocolKind`], kept
-/// for source compatibility).
-pub type SessionProtocol = ProtocolKind;
-
-/// Cumulative statistics of a session.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SessionStats {
-    /// Rounds executed so far.
-    pub rounds: u64,
-    /// Rounds where every live node got the correct aggregate.
-    pub perfect_rounds: u64,
-    /// Total scheduled air-time across rounds (ms).
-    pub total_schedule_ms: f64,
-    /// Mean per-node radio energy accumulated across rounds (mJ).
-    pub total_energy_mj: f64,
-    /// Fault-injected epochs whose survivor set reached the threshold
-    /// (only [`AggregationSession::next_round_degraded`] counts here).
-    pub recovered_rounds: u64,
-    /// Fault-injected epochs that ended below the threshold.
-    pub failed_recoveries: u64,
-}
-
-/// A long-running aggregation session over a fixed deployment (legacy
-/// wrapper around [`Deployment`] + [`RoundDriver`](crate::RoundDriver)).
-///
-/// # Example
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use ppda_mpc::{AggregationSession, ProtocolConfig, SessionProtocol};
-/// use ppda_topology::Topology;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let topology = Topology::flocklab();
-/// let config = ProtocolConfig::builder(topology.len()).sources(6).build()?;
-/// let mut session =
-///     AggregationSession::new(topology, config, SessionProtocol::S4, 0xFEED)?;
-/// for _epoch in 0..3 {
-///     let outcome = session.next_round()?;
-///     assert!(outcome.correct());
-/// }
-/// assert_eq!(session.stats().rounds, 3);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct AggregationSession {
-    deployment: Deployment<'static>,
-    seed: u64,
-    stats: SessionStats,
-    /// Survivor-mask weight cache carried across epochs: each epoch's
-    /// driver is transient (it borrows the deployment), but lossy
-    /// sessions repeat the same few survivor patterns, so the memoized
-    /// bases are swapped into each epoch's driver and back out.
-    recon_cache: ppda_sss::WeightCache<crate::Field>,
-}
-
-impl AggregationSession {
-    /// Start a session. Compiles the [`Deployment`] (and thus the
-    /// [`RoundPlan`]) up front — one failed bootstrap is better than
-    /// failing every epoch — and keeps it for the session's lifetime.
-    ///
-    /// # Errors
-    ///
-    /// The same conditions as a protocol run: size mismatch, disconnected
-    /// topology.
-    pub fn new(
-        topology: Topology,
-        config: ProtocolConfig,
-        protocol: SessionProtocol,
-        seed: u64,
-    ) -> Result<Self, MpcError> {
-        let deployment = Deployment::builder()
-            .topology(topology)
-            .config(config)
-            .protocol(protocol)
-            .seed(seed)
-            .build()?;
-        let recon_cache = deployment
-            .plan()
-            .survivor_weight_cache()
-            .expect("full-membership plans keep at least threshold destinations");
-        Ok(AggregationSession {
-            deployment,
-            seed,
-            stats: SessionStats::default(),
-            recon_cache,
-        })
-    }
-
-    /// The next epoch's round with generated readings.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol errors; the round counter only advances on
-    /// success.
-    #[deprecated(
-        since = "0.1.0",
-        note = "drive rounds through `Deployment::builder()` + `RoundDriver::step` instead"
-    )]
-    pub fn next_round(&mut self) -> Result<AggregationOutcome, MpcError> {
-        self.epoch(None, None, None).map(|d| d.round)
-    }
-
-    /// The next epoch's round with explicit readings and failure mask.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol errors; the round counter only advances on
-    /// success.
-    #[deprecated(
-        since = "0.1.0",
-        note = "drive rounds through `Deployment::builder()` + `RoundDriver::step_with` instead"
-    )]
-    pub fn next_round_with(
-        &mut self,
-        readings: &[u64],
-        failed: &[bool],
-    ) -> Result<AggregationOutcome, MpcError> {
-        self.epoch(Some(readings), Some(failed), None)
-            .map(|d| d.round)
-    }
-
-    /// The next epoch's round under fault injection: generated readings,
-    /// the fault plan's dropout/churn/loss draws for this epoch's round
-    /// id, and a typed [`DegradedRound`] report (survivor set, recovery
-    /// margin, observed faults) alongside the outcome.
-    ///
-    /// A below-threshold epoch still returns `Ok` — the report carries
-    /// the failure and the session counts it in
-    /// [`SessionStats::failed_recoveries`]; use
-    /// [`DegradedOutcome::require_recovered`](crate::DegradedOutcome::require_recovered)
-    /// to escalate it into [`MpcError::AggregationFailed`].
-    ///
-    /// # Errors
-    ///
-    /// [`MpcError::InvalidConfig`] on sessions compiled with `batch > 1`;
-    /// otherwise the same conditions as a plain round. The round counter
-    /// only advances on success.
-    #[deprecated(
-        since = "0.1.0",
-        note = "fuse the fault plan into `Deployment::builder().faults(..)` and step a `RoundDriver`"
-    )]
-    pub fn next_round_degraded(&mut self, faults: &FaultPlan) -> Result<DegradedRound, MpcError> {
-        let degraded_round = self.epoch(None, None, Some(faults))?;
-        if degraded_round.degraded.recovered() {
-            self.stats.recovered_rounds += 1;
-        } else {
-            self.stats.failed_recoveries += 1;
-        }
-        Ok(degraded_round)
-    }
-
-    /// One delegated epoch through a transient [`RoundDriver`]: the
-    /// single path behind every legacy entry point.
-    fn epoch(
-        &mut self,
-        readings: Option<&[u64]>,
-        failed: Option<&[bool]>,
-        faults: Option<&FaultPlan>,
-    ) -> Result<DegradedRound, MpcError> {
-        let config = self.deployment.config();
-        if config.batch != 1 {
-            return Err(MpcError::InvalidConfig {
-                what: format!(
-                    "session rounds are scalar; plan has {} lanes (use Deployment + RoundDriver)",
-                    config.batch
-                ),
-            });
-        }
-        let round_id = self.round_id();
-        let seed = self.round_seed();
-        // The driver is per-epoch (it borrows the deployment), but the
-        // weight cache survives the session: swap it in, run, swap it back.
-        let mut driver = self.deployment.driver();
-        if let Some(f) = faults {
-            driver.set_faults(f.clone());
-        }
-        std::mem::swap(driver.weight_cache_mut(), &mut self.recon_cache);
-        let result = match (readings, failed) {
-            (Some(r), Some(f)) => driver.round_at_with(round_id, seed, r, f),
-            _ => driver.round_at(round_id, seed),
-        };
-        std::mem::swap(driver.weight_cache_mut(), &mut self.recon_cache);
-        drop(driver);
-        let degraded_round = result?
-            .into_scalar()
-            .expect("scalar sessions run 1-lane rounds");
-        self.stats.rounds += 1;
-        if degraded_round.round.correct() {
-            self.stats.perfect_rounds += 1;
-        }
-        self.stats.total_schedule_ms += degraded_round.round.scheduled_round_ms();
-        self.stats.total_energy_mj += degraded_round.round.mean_energy_mj();
-        Ok(degraded_round)
-    }
-
-    /// The round id of the upcoming epoch. Fresh per epoch: CCM nonces and
-    /// share randomness never repeat across the session.
-    pub fn round_id(&self) -> u32 {
-        self.deployment
-            .config()
-            .round_id
-            .wrapping_add(self.stats.rounds as u32)
-    }
-
-    fn round_seed(&self) -> u64 {
-        ppda_sim::derive_stream(self.seed, self.stats.rounds)
-    }
-
-    /// Session statistics so far.
-    pub fn stats(&self) -> SessionStats {
-        self.stats
-    }
-
-    /// The compiled plan the session replays every epoch.
-    pub fn plan(&self) -> &RoundPlan<'static> {
-        self.deployment.plan()
-    }
-
-    /// The deployment's topology.
-    pub fn topology(&self) -> &Topology {
-        self.deployment.topology()
-    }
-
-    /// The per-round configuration template.
-    pub fn config(&self) -> &ProtocolConfig {
-        self.deployment.config()
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)] // this suite pins the legacy wrapper's contract
 mod tests {
-    use super::*;
-    use crate::s4::S4Protocol;
+    use ppda_ct::FaultPlan;
+    use ppda_sim::ChurnSchedule;
+    use ppda_topology::Topology;
 
-    fn session(protocol: SessionProtocol) -> AggregationSession {
-        let topology = Topology::grid(3, 3, 18.0, 5);
-        let config = ProtocolConfig::builder(9).degree(2).build().unwrap();
-        AggregationSession::new(topology, config, protocol, 7).unwrap()
+    use crate::{
+        Deployment, DeploymentBuilder, MpcError, ProtocolConfig, ProtocolKind, RoundReport,
+    };
+
+    fn config() -> ProtocolConfig {
+        ProtocolConfig::builder(9).degree(2).build().unwrap()
+    }
+
+    fn builder(kind: ProtocolKind) -> DeploymentBuilder<'static> {
+        Deployment::builder()
+            .topology(Topology::grid(3, 3, 18.0, 5))
+            .config(config())
+            .protocol(kind)
+            .seed(7)
+    }
+
+    fn session(kind: ProtocolKind) -> Deployment<'static> {
+        builder(kind).build().unwrap()
+    }
+
+    fn session_with(kind: ProtocolKind, faults: FaultPlan) -> Deployment<'static> {
+        builder(kind).faults(faults).build().unwrap()
     }
 
     #[test]
     fn rounds_accumulate_stats() {
-        let mut s = session(SessionProtocol::S4);
+        let deployment = session(ProtocolKind::S4);
+        let mut driver = deployment.driver();
         for _ in 0..4 {
-            s.next_round().unwrap();
+            driver.step().unwrap();
         }
-        let stats = s.stats();
+        let stats = driver.stats();
         assert_eq!(stats.rounds, 4);
         assert!(stats.perfect_rounds >= 3);
         assert!(stats.total_schedule_ms > 0.0);
@@ -274,18 +47,24 @@ mod tests {
 
     #[test]
     fn rounds_use_fresh_randomness() {
-        let mut s = session(SessionProtocol::S4);
-        let a = s.next_round().unwrap();
-        let b = s.next_round().unwrap();
-        assert_ne!(a.expected_sum, b.expected_sum, "fresh readings per epoch");
+        let deployment = session(ProtocolKind::S4);
+        let mut driver = deployment.driver();
+        let a = driver.step().unwrap();
+        let b = driver.step().unwrap();
+        assert_ne!(
+            a.expected_sums(),
+            b.expected_sums(),
+            "fresh readings per epoch"
+        );
     }
 
     #[test]
     fn sessions_replay_deterministically() {
+        let deployment = session(ProtocolKind::S4);
         let run = || {
-            let mut s = session(SessionProtocol::S4);
+            let mut driver = deployment.driver();
             (0..3)
-                .map(|_| s.next_round().unwrap().expected_sum)
+                .map(|_| driver.step().unwrap().expected_sums().to_vec())
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -293,119 +72,99 @@ mod tests {
 
     #[test]
     fn s3_sessions_work_too() {
-        let mut s = session(SessionProtocol::S3);
-        let o = s.next_round().unwrap();
-        assert_eq!(o.protocol, "S3");
-        assert!(o.correct());
+        let report = session(ProtocolKind::S3).driver().step().unwrap();
+        assert_eq!(report.outcome.protocol, "S3");
+        assert!(report.correct());
     }
 
     #[test]
     fn explicit_round_inputs() {
-        let mut s = session(SessionProtocol::S4);
-        let o = s
-            .next_round_with(&[1, 2, 3, 4, 5, 6, 7, 8, 9], &[false; 9])
+        let deployment = session(ProtocolKind::S4);
+        let report = deployment
+            .driver()
+            .step_with(&[1, 2, 3, 4, 5, 6, 7, 8, 9], &[false; 9])
             .unwrap();
-        assert_eq!(o.expected_sum, 45);
+        assert_eq!(report.expected_sums(), &[45]);
     }
 
     #[test]
     fn disconnected_deployment_rejected_at_start() {
-        let topology = Topology::line(9, 400.0, 1);
-        let config = ProtocolConfig::builder(9).degree(2).build().unwrap();
         assert!(matches!(
-            AggregationSession::new(topology, config, SessionProtocol::S4, 1),
+            Deployment::builder()
+                .topology(Topology::line(9, 400.0, 1))
+                .config(config())
+                .build(),
             Err(MpcError::TopologyDisconnected)
         ));
     }
 
     #[test]
     fn round_ids_advance() {
-        let mut s = session(SessionProtocol::S4);
-        let base = s.config().round_id;
-        s.next_round().unwrap();
-        s.next_round().unwrap();
-        assert_eq!(s.round_id(), base + 2);
+        let deployment = session(ProtocolKind::S4);
+        let base = deployment.config().round_id;
+        let mut driver = deployment.driver();
+        driver.step().unwrap();
+        driver.step().unwrap();
+        assert_eq!(driver.round_id(), base + 2);
     }
 
     #[test]
     fn degraded_epochs_with_zero_faults_match_plain_epochs() {
-        let mut plain = session(SessionProtocol::S4);
-        let mut degraded = session(SessionProtocol::S4);
-        let none = FaultPlan::none();
+        // The default deployment and one fused with an explicit zero
+        // fault plan run the same epochs, and every epoch recovers.
+        let plain = session(ProtocolKind::S4);
+        let degraded = session_with(ProtocolKind::S4, FaultPlan::none());
+        let (mut a, mut b) = (plain.driver(), degraded.driver());
         for _ in 0..3 {
-            let a = plain.next_round().unwrap();
-            let b = degraded.next_round_degraded(&none).unwrap();
-            assert_eq!(a, b.round);
-            assert!(b.degraded.recovered());
-            assert_eq!(b.degraded.faults.nodes_dropped, 0);
+            let (x, y) = (a.step().unwrap(), b.step().unwrap());
+            assert_eq!(x, y);
+            assert!(y.recovered());
+            assert_eq!(y.degraded.faults.nodes_dropped, 0);
         }
-        assert_eq!(degraded.stats().recovered_rounds, 3);
-        assert_eq!(degraded.stats().failed_recoveries, 0);
-        assert_eq!(
-            plain.stats().recovered_rounds,
-            0,
-            "plain rounds don't count"
-        );
+        assert_eq!(b.stats().recovered_rounds, 3);
+        assert_eq!(b.stats().failed_rounds, 0);
     }
 
     #[test]
     fn session_walks_churn_windows_by_round_id() {
         // Aggregator churn: take one destination down for epochs 2..4 of
         // the session (round ids advance from the config's base).
-        let mut s = session(SessionProtocol::S4);
-        let base = s.config().round_id;
-        let victim = s.plan().destinations()[0];
-        let faults = FaultPlan::none().with_churn(ppda_sim::ChurnSchedule::new().window(
-            victim,
-            base + 1,
-            base + 3,
-        ));
+        let base = config().round_id;
+        let victim = session(ProtocolKind::S4).plan().destinations()[0];
+        let churn = ChurnSchedule::new().window(victim, base + 1, base + 3);
+        let deployment = session_with(ProtocolKind::S4, FaultPlan::none().with_churn(churn));
+        let mut driver = deployment.driver();
         for epoch in 0..4u32 {
-            let out = s.next_round_degraded(&faults).unwrap();
+            let report = driver.step().unwrap();
             let down = epoch == 1 || epoch == 2;
             assert_eq!(
-                out.round.nodes[victim as usize].failed, down,
+                report.outcome.nodes[victim as usize].failed, down,
                 "epoch {epoch}"
             );
-            assert_eq!(
-                out.degraded.survivors.contains(&victim),
-                !down,
-                "epoch {epoch}"
-            );
+            assert_eq!(report.survivors().contains(&victim), !down, "epoch {epoch}");
         }
-        assert_eq!(s.stats().rounds, 4);
-    }
-
-    #[test]
-    fn degraded_rounds_reject_batched_sessions() {
-        let topology = Topology::grid(3, 3, 18.0, 5);
-        let config = ProtocolConfig::builder(9)
-            .degree(2)
-            .batch(4)
-            .build()
-            .unwrap();
-        let mut s = AggregationSession::new(topology, config, SessionProtocol::S4, 7).unwrap();
-        assert!(matches!(
-            s.next_round_degraded(&FaultPlan::none()),
-            Err(MpcError::InvalidConfig { .. })
-        ));
-        assert_eq!(s.stats().rounds, 0, "failed rounds must not advance");
+        assert_eq!(driver.stats().rounds, 4);
     }
 
     #[test]
     fn reused_plan_equals_fresh_single_shot() {
-        // Regression guard for plan staleness: every epoch of a session
-        // (reused plan) must equal a fresh single-shot run configured with
-        // that epoch's round id and seed.
-        let mut s = session(SessionProtocol::S4);
+        // Regression guard for plan staleness: every epoch of a driver
+        // (reused plan) must equal a fresh deployment configured with that
+        // epoch's round id and run once at that epoch's seed.
+        let deployment = session(ProtocolKind::S4);
+        let mut driver = deployment.driver();
         for _ in 0..4 {
-            let round_id = s.round_id();
-            let seed = s.round_seed();
-            let via_session = s.next_round().unwrap();
-
-            let mut config = s.config().clone();
-            config.round_id = round_id;
-            let single_shot = S4Protocol::new(config).run(s.topology(), seed).unwrap();
+            let via_session: RoundReport = driver.step().unwrap();
+            let mut config = config();
+            config.round_id = via_session.round_id;
+            let single_shot = Deployment::builder()
+                .topology(Topology::grid(3, 3, 18.0, 5))
+                .config(config)
+                .build()
+                .unwrap()
+                .driver()
+                .round_at(via_session.round_id, via_session.seed)
+                .unwrap();
             assert_eq!(via_session, single_shot);
         }
     }

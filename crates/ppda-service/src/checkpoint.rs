@@ -36,6 +36,12 @@ use crate::engine::{CampaignEngine, ClockMode, DeploymentSpec, EngineError};
 const FORMAT_VERSION: u8 = 4;
 const OLDEST_SUPPORTED_VERSION: u8 = 1;
 
+/// The largest worker pool a checkpoint may restore. The blob's pool
+/// geometry is untrusted input, and the engine allocates per-worker state
+/// up front, so a corrupt count must fail as a typed error rather than
+/// abort the process on allocation.
+const MAX_RESTORED_WORKERS: u64 = 1024;
+
 /// A serialized, self-contained image of a quiesced engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
@@ -364,6 +370,12 @@ fn decode_spec(r: &mut Reader<'_>, version: u8) -> Result<DeploymentSpec, Checkp
             IntegrityMode::Off
         };
     }
+    // The literal above skipped the builder, so check its invariants here:
+    // a corrupt config must not restore cleanly and then fail (or abort)
+    // on the first round.
+    config
+        .validate()
+        .map_err(|e| CheckpointError::Format(format!("invalid protocol config: {e}")))?;
 
     Ok(DeploymentSpec {
         name,
@@ -407,7 +419,9 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Format`] on a malformed blob,
+    /// [`CheckpointError::Format`] on a malformed blob — including a
+    /// worker count outside `1..=1024`, a chunk of 0 and a protocol
+    /// config that fails [`ProtocolConfig::validate`];
     /// [`CheckpointError::Compile`] when a restored spec no longer
     /// builds.
     pub fn restore(&self) -> Result<CampaignEngine, CheckpointError> {
@@ -418,8 +432,18 @@ impl Checkpoint {
                 "unsupported checkpoint version {version}"
             )));
         }
-        let workers = r.u64()? as usize;
+        let workers = r.u64()?;
+        if !(1..=MAX_RESTORED_WORKERS).contains(&workers) {
+            return Err(CheckpointError::Format(format!(
+                "worker count {workers} outside 1..={MAX_RESTORED_WORKERS}"
+            )));
+        }
         let chunk = r.u64()?;
+        if chunk == 0 {
+            return Err(CheckpointError::Format(
+                "chunk of 0 rounds cannot be scheduled".into(),
+            ));
+        }
         let n = r.u64()? as usize;
         let mut specs = Vec::with_capacity(n.min(4096));
         let mut progress = Vec::with_capacity(n.min(4096));
@@ -437,7 +461,7 @@ impl Checkpoint {
             ));
         }
         let mut engine = CampaignEngine::builder()
-            .workers(workers)
+            .workers(workers as usize)
             .chunk(chunk)
             .deployments(specs)
             .build()

@@ -244,7 +244,7 @@ fn a_panicking_round_surfaces_as_worker_panicked_and_taints() {
 #[cfg(feature = "serde")]
 mod checkpointing {
     use super::*;
-    use ppda_service::Checkpoint;
+    use ppda_service::{Checkpoint, CheckpointError};
     use serde::value::{from_value, to_value};
 
     #[test]
@@ -440,6 +440,54 @@ mod checkpointing {
             .expect("restore");
         assert!(restored.spec(0).config.integrity.is_on());
         restored.advance(2).expect("restored engine runs");
+    }
+
+    /// Overwrite the little-endian u64 at `at` in a checkpoint blob and
+    /// restore it: the result must be a typed format error, not a panic
+    /// or an allocation abort.
+    fn restore_with_u64(bytes: &[u8], at: usize, value: u64) {
+        let mut mutated = bytes.to_vec();
+        mutated[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        match Checkpoint::from_bytes(mutated).restore() {
+            Err(CheckpointError::Format(_)) => {}
+            other => panic!("u64 {value:#x} at byte {at}: expected a format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn corrupt_pool_geometry_is_a_typed_error() {
+        let (_, bytes, _) = legacy_checkpoint_fixture();
+        // Header: version byte, then workers and chunk as u64s.
+        for workers in [0, 1025, u64::MAX, 0xFFFF_0000_0000_0001] {
+            restore_with_u64(&bytes, 1, workers);
+        }
+        restore_with_u64(&bytes, 9, 0);
+    }
+
+    #[test]
+    fn out_of_range_protocol_configs_are_typed_errors() {
+        let (spec, bytes, _) = legacy_checkpoint_fixture();
+        // Header (25 bytes), then the spec: name and topology blob (each
+        // length-prefixed), protocol and clock tags, seed, and the config.
+        let n_nodes_at = 25 + 8 + spec.name.len() + 8 + spec.topology.to_blob().len() + 1 + 1 + 8;
+        let degree_at = n_nodes_at + 8 + 8 + 2 * spec.config.sources.len();
+        // degree, 3 NTX u32s, redundancy, tag length, key, link threshold,
+        // round id, max reading, 6 fading f64s.
+        let batch_at = degree_at + 8 + 12 + 8 + 8 + 16 + 8 + 4 + 8 + 48;
+        assert_eq!(
+            bytes[batch_at..batch_at + 8],
+            (spec.config.batch as u64).to_le_bytes(),
+            "batch offset"
+        );
+        for n_nodes in [0, 129, u64::MAX] {
+            restore_with_u64(&bytes, n_nodes_at, n_nodes);
+        }
+        for degree in [0, 9, u64::MAX] {
+            restore_with_u64(&bytes, degree_at, degree);
+        }
+        for batch in [0, 24, 1 << 52, u64::MAX] {
+            restore_with_u64(&bytes, batch_at, batch);
+        }
     }
 
     #[test]

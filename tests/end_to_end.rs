@@ -1,17 +1,18 @@
 //! Cross-crate integration tests: full protocol rounds on both testbed
 //! models, exercising field + crypto + sim + radio + topology + ct + sss +
 //! mpc together.
-#![allow(deprecated)] // this suite exercises the legacy single-shot oracle
 
-use ppda::mpc::{ProtocolConfig, S3Protocol, S4Protocol};
+use ppda::mpc::{ProtocolConfig, ProtocolKind};
 use ppda::topology::Topology;
-use ppda_testkit::flocklab_scenario;
+use ppda_testkit::{flocklab_scenario, one_round, one_round_with};
 
 #[test]
 fn s3_correct_on_flocklab() {
     let (t, config) = flocklab_scenario();
     for seed in 0..5 {
-        let o = S3Protocol::new(config.clone()).run(&t, seed).unwrap();
+        let o = one_round(&t, &config, ProtocolKind::S3, seed)
+            .unwrap()
+            .outcome;
         assert!(o.correct(), "seed {seed}");
         assert!(o.all_nodes_agree());
         assert_eq!(o.protocol, "S3");
@@ -22,7 +23,9 @@ fn s3_correct_on_flocklab() {
 fn s4_correct_on_flocklab() {
     let (t, config) = flocklab_scenario();
     for seed in 0..5 {
-        let o = S4Protocol::new(config.clone()).run(&t, seed).unwrap();
+        let o = one_round(&t, &config, ProtocolKind::S4, seed)
+            .unwrap()
+            .outcome;
         assert!(o.correct(), "seed {seed}");
         assert_eq!(o.protocol, "S4");
     }
@@ -35,7 +38,7 @@ fn s3_correct_on_dcube() {
         .full_coverage_ntx(20)
         .build()
         .unwrap();
-    let o = S3Protocol::new(config).run(&t, 3).unwrap();
+    let o = one_round(&t, &config, ProtocolKind::S3, 3).unwrap().outcome;
     assert!(o.correct());
 }
 
@@ -53,9 +56,9 @@ fn s4_correct_on_dcube_at_operating_ntx() {
     let mut ok = 0;
     let runs = 8;
     for seed in 0..runs {
-        if S4Protocol::new(config.clone())
-            .run(&t, seed)
+        if one_round(&t, &config, ProtocolKind::S4, seed)
             .unwrap()
+            .outcome
             .correct()
         {
             ok += 1;
@@ -67,8 +70,8 @@ fn s4_correct_on_dcube_at_operating_ntx() {
 #[test]
 fn s4_beats_s3_on_both_metrics() {
     let (t, config) = flocklab_scenario();
-    let s3 = S3Protocol::new(config.clone()).run(&t, 9).unwrap();
-    let s4 = S4Protocol::new(config).run(&t, 9).unwrap();
+    let s3 = one_round(&t, &config, ProtocolKind::S3, 9).unwrap().outcome;
+    let s4 = one_round(&t, &config, ProtocolKind::S4, 9).unwrap().outcome;
     let lat3 = s3.max_latency_ms().expect("S3 completes");
     let lat4 = s4.max_latency_ms().expect("S4 completes");
     assert!(
@@ -82,11 +85,15 @@ fn s4_beats_s3_on_both_metrics() {
 fn outcomes_are_deterministic() {
     let t = Topology::flocklab();
     let config = ProtocolConfig::builder(t.len()).sources(6).build().unwrap();
-    let a = S4Protocol::new(config.clone()).run(&t, 77).unwrap();
-    let b = S4Protocol::new(config).run(&t, 77).unwrap();
-    assert_eq!(a.expected_sum, b.expected_sum);
+    let a = one_round(&t, &config, ProtocolKind::S4, 77)
+        .unwrap()
+        .outcome;
+    let b = one_round(&t, &config, ProtocolKind::S4, 77)
+        .unwrap()
+        .outcome;
+    assert_eq!(a.expected_sums, b.expected_sums);
     for (x, y) in a.nodes.iter().zip(&b.nodes) {
-        assert_eq!(x.aggregate, y.aggregate);
+        assert_eq!(x.aggregates, y.aggregates);
         assert_eq!(x.latency, y.latency);
         assert_eq!(x.radio_on, y.radio_on);
     }
@@ -95,9 +102,9 @@ fn outcomes_are_deterministic() {
 #[test]
 fn different_seeds_different_readings() {
     let (t, config) = flocklab_scenario();
-    let a = S4Protocol::new(config.clone()).run(&t, 1).unwrap();
-    let b = S4Protocol::new(config).run(&t, 2).unwrap();
-    assert_ne!(a.expected_sum, b.expected_sum);
+    let a = one_round(&t, &config, ProtocolKind::S4, 1).unwrap().outcome;
+    let b = one_round(&t, &config, ProtocolKind::S4, 2).unwrap().outcome;
+    assert_ne!(a.expected_sums, b.expected_sums);
 }
 
 #[test]
@@ -106,10 +113,10 @@ fn explicit_readings_are_summed() {
     let n = t.len();
     let config = ProtocolConfig::builder(n).sources(4).build().unwrap();
     let secrets = [10u64, 20, 30, 40];
-    let o = S4Protocol::new(config)
-        .run_with(&t, 5, &secrets, &vec![false; n])
-        .unwrap();
-    assert_eq!(o.expected_sum, 100);
+    let o = one_round_with(&t, &config, ProtocolKind::S4, 5, &secrets, &vec![false; n])
+        .unwrap()
+        .outcome;
+    assert_eq!(o.expected_sums, [100]);
     assert!(o.correct());
 }
 
@@ -121,7 +128,9 @@ fn source_sweep_points_all_run() {
             .sources(sources)
             .build()
             .unwrap();
-        let o = S4Protocol::new(config).run(&t, 13).unwrap();
+        let o = one_round(&t, &config, ProtocolKind::S4, 13)
+            .unwrap()
+            .outcome;
         assert!(o.correct(), "{sources} sources");
         assert_eq!(o.source_count, sources);
     }
@@ -135,9 +144,9 @@ fn latency_grows_with_sources() {
             .sources(sources)
             .build()
             .unwrap();
-        S4Protocol::new(config)
-            .run(&t, 21)
+        one_round(&t, &config, ProtocolKind::S4, 21)
             .unwrap()
+            .outcome
             .max_latency_ms()
             .expect("completes")
     };
@@ -159,17 +168,23 @@ fn failed_source_excluded_from_sum() {
         .unwrap();
     let mut failed = vec![false; n];
     failed[5] = true;
-    let o = S4Protocol::new(config)
-        .run_with(&t, 31, &[100, 200, 300], &failed)
-        .unwrap();
-    assert_eq!(o.expected_sum, 400, "dead source's reading must not count");
+    let o = one_round_with(&t, &config, ProtocolKind::S4, 31, &[100, 200, 300], &failed)
+        .unwrap()
+        .outcome;
+    assert_eq!(
+        o.expected_sums,
+        [400],
+        "dead source's reading must not count"
+    );
     assert!(o.success_fraction() > 0.9);
 }
 
 #[test]
 fn radio_on_is_positive_and_bounded_by_schedule() {
     let (t, config) = flocklab_scenario();
-    let o = S4Protocol::new(config).run(&t, 41).unwrap();
+    let o = one_round(&t, &config, ProtocolKind::S4, 41)
+        .unwrap()
+        .outcome;
     let budget = o.scheduled_round_ms();
     for node in o.live_nodes() {
         let on = node.radio_on.as_millis_f64();
@@ -184,14 +199,18 @@ fn radio_on_is_positive_and_bounded_by_schedule() {
 #[test]
 fn phase_stats_are_consistent() {
     let (t, config) = flocklab_scenario();
-    let o = S4Protocol::new(config.clone()).run(&t, 51).unwrap();
+    let o = one_round(&t, &config, ProtocolKind::S4, 51)
+        .unwrap()
+        .outcome;
     // Sharing chain: S sources × (|A| − (1 if source is aggregator)).
     assert!(o.sharing.chain_len > 0);
     assert!(o.sharing.chain_len <= o.source_count * o.aggregator_count);
     assert_eq!(o.reconstruction.chain_len, o.aggregator_count);
     assert!(o.sharing.coverage > 0.5);
     // S4 chains are trimmed versus the naive S × n layout.
-    let s3 = S3Protocol::new(config).run(&t, 51).unwrap();
+    let s3 = one_round(&t, &config, ProtocolKind::S3, 51)
+        .unwrap()
+        .outcome;
     assert!(s3.sharing.chain_len > 2 * o.sharing.chain_len);
     assert_eq!(s3.aggregator_count, t.len());
 }

@@ -2,51 +2,34 @@
 //!
 //! Contracts enforced here:
 //!
-//! 1. **The driver subsumes the legacy paths byte for byte** — a B = 1
-//!    driver round under the default zero fault plan produces an
-//!    `AggregationOutcome` *equal* to the deprecated `S3Protocol::run` /
-//!    `S4Protocol::run` single-shot oracles, on both testbed topologies,
-//!    with and without explicit inputs — the acceptance differential of
-//!    the API redesign.
+//! 1. **The driver reproduces the scalar reference rounds byte for byte**
+//!    — a B = 1 driver round under the default zero fault plan renders
+//!    exactly as the round frozen in `tests/golden/reference_rounds.txt`
+//!    (taken from the original single-shot S3/S4 pipeline), on both
+//!    testbed topologies, with and without explicit inputs.
 //! 2. **One pipeline, every scenario** — batching, fault plans and churn
 //!    all flow through the same `step()`; observers see every round; the
-//!    driver clock replays the session scheme exactly.
+//!    driver clock advances round ids and seeds deterministically.
 //! 3. **The report format is frozen** — a golden fixture pins
 //!    `RoundReport`'s `Display` text alongside the degraded-outcome
 //!    fixtures.
 //! 4. **Error-type hygiene** — every public error type in the workspace
 //!    implements `Display + std::error::Error + Send + Sync`.
 
-#![allow(deprecated)] // the legacy single-shot wrappers are the oracle here
-
 use ppda::mpc::{
     Deployment, MpcError, ProtocolConfig, ProtocolKind, RecoveryStatus, RoundObserver, RoundReport,
-    S3Protocol, S4Protocol,
 };
-use ppda::prelude::FaultPlan;
-use ppda::topology::Topology;
 use ppda_metrics::CampaignAccumulator;
-use ppda_testkit::{grid9_deployment, lossy_flocklab_deployment};
+use ppda_testkit::{
+    assert_golden, assert_reference_round, failure_inputs, grid9_deployment,
+    lossy_flocklab_deployment, one_round, testbeds, CLOCK_EPOCHS, CLOCK_SEED, FAILURE_SEEDS,
+};
 
-fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
-    let flocklab = Topology::flocklab();
-    let dcube = Topology::dcube();
-    let flocklab_config = ProtocolConfig::builder(flocklab.len())
-        .sources(6)
-        .build()
-        .unwrap();
-    let dcube_config = ProtocolConfig::builder(dcube.len())
-        .sources(7)
-        .ntx_sharing(7)
-        .ntx_reconstruction(7)
-        .build()
-        .unwrap();
-    vec![(flocklab, flocklab_config), (dcube, dcube_config)]
-}
+const REFERENCE: &str = include_str!("golden/reference_rounds.txt");
 
-/// The acceptance differential: a zero-fault B = 1 driver round equals
-/// the legacy single-shot protocol runs, field for field, for both
-/// protocols on both testbeds.
+/// The acceptance differential: a zero-fault B = 1 driver round renders
+/// exactly as the frozen reference round, for both protocols on both
+/// testbeds.
 #[test]
 fn driver_rounds_are_byte_identical_to_legacy_single_shot() {
     for (topology, config) in testbeds() {
@@ -61,19 +44,7 @@ fn driver_rounds_are_byte_identical_to_legacy_single_shot() {
             for seed in [1u64, 7, 42, 0xBEEF] {
                 let report = driver.round_at(config.round_id, seed).unwrap();
                 assert!(report.recovered(), "zero-fault rounds always recover");
-                let via_driver = report.into_scalar().unwrap().round;
-                let legacy = match kind {
-                    ProtocolKind::S3 => S3Protocol::new(config.clone()).run(&topology, seed),
-                    ProtocolKind::S4 => S4Protocol::new(config.clone()).run(&topology, seed),
-                }
-                .unwrap();
-                assert_eq!(
-                    via_driver,
-                    legacy,
-                    "{} on {} diverged from the legacy path at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
+                assert_reference_round(REFERENCE, &topology, kind, &report, false);
             }
         }
     }
@@ -82,11 +53,7 @@ fn driver_rounds_are_byte_identical_to_legacy_single_shot() {
 #[test]
 fn driver_rounds_match_legacy_under_explicit_inputs_and_failures() {
     for (topology, config) in testbeds() {
-        let n = topology.len();
-        let secrets: Vec<u64> = (0..config.sources.len() as u64).map(|i| 100 + i).collect();
-        let mut failed = vec![false; n];
-        failed[1] = true;
-        failed[n - 1] = true;
+        let (secrets, failed) = failure_inputs(&config);
         for kind in [ProtocolKind::S3, ProtocolKind::S4] {
             let deployment = Deployment::builder()
                 .topology_ref(&topology)
@@ -95,36 +62,19 @@ fn driver_rounds_match_legacy_under_explicit_inputs_and_failures() {
                 .build()
                 .unwrap();
             let mut driver = deployment.driver();
-            for seed in [3u64, 19] {
-                let via_driver = driver
+            for seed in FAILURE_SEEDS {
+                let report = driver
                     .round_at_with(config.round_id, seed, &secrets, &failed)
-                    .unwrap()
-                    .into_scalar()
-                    .unwrap()
-                    .round;
-                let legacy =
-                    match kind {
-                        ProtocolKind::S3 => S3Protocol::new(config.clone())
-                            .run_with(&topology, seed, &secrets, &failed),
-                        ProtocolKind::S4 => S4Protocol::new(config.clone())
-                            .run_with(&topology, seed, &secrets, &failed),
-                    }
                     .unwrap();
-                assert_eq!(
-                    via_driver,
-                    legacy,
-                    "{} on {} diverged under failures at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
+                assert_reference_round(REFERENCE, &topology, kind, &report, true);
             }
         }
     }
 }
 
-/// The driver's automatic clock replays the session scheme: round r at
-/// `round_id + r` with seed `derive_stream(base, r)` — so stepped rounds
-/// equal legacy single-shot runs configured at those coordinates.
+/// The driver's automatic clock: round r at `round_id + r` with seed
+/// `derive_stream(base, r)` — so stepped rounds equal the frozen
+/// reference rounds at those coordinates.
 #[test]
 fn driver_clock_matches_legacy_at_advanced_round_ids() {
     for (topology, config) in testbeds() {
@@ -132,33 +82,26 @@ fn driver_clock_matches_legacy_at_advanced_round_ids() {
             .topology_ref(&topology)
             .config(config.clone())
             .protocol(ProtocolKind::S4)
-            .seed(0xFEED)
+            .seed(CLOCK_SEED)
             .build()
             .unwrap();
         let mut driver = deployment.driver();
-        for epoch in 0..3u64 {
+        for epoch in 0..CLOCK_EPOCHS {
             let report = driver.step().unwrap();
-            let mut epoch_config = config.clone();
-            epoch_config.round_id = config.round_id + epoch as u32;
-            let seed = ppda::sim::derive_stream(0xFEED, epoch);
-            assert_eq!(report.seed, seed);
-            let legacy = S4Protocol::new(epoch_config).run(&topology, seed).unwrap();
-            assert_eq!(
-                report.into_scalar().unwrap().round,
-                legacy,
-                "epoch {epoch} on {} diverged",
-                topology.name()
-            );
+            assert_eq!(report.round_id, config.round_id + epoch as u32);
+            assert_eq!(report.seed, ppda::sim::derive_stream(CLOCK_SEED, epoch));
+            assert_reference_round(REFERENCE, &topology, ProtocolKind::S4, &report, false);
         }
     }
 }
 
 /// Batched rounds flow through the same single path: a 4-lane driver
-/// round equals the executor-level batched round (and its transport/
-/// survivor behaviour is lane-width-agnostic).
+/// round equals a single-shot 4-lane round, and its chain layout is the
+/// 1-lane one (the lanes share each sealed packet).
 #[test]
 fn batched_driver_rounds_take_the_same_path() {
     let (topology, mut config) = testbeds().remove(0);
+    let scalar = one_round(&topology, &config, ProtocolKind::S4, 2).unwrap();
     config.batch = 4;
     let deployment = Deployment::builder()
         .topology_ref(&topology)
@@ -166,14 +109,20 @@ fn batched_driver_rounds_take_the_same_path() {
         .protocol(ProtocolKind::S4)
         .build()
         .unwrap();
-    let plan = ppda::mpc::RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let mut executor = plan.executor();
     let mut driver = deployment.driver();
     for seed in [2u64, 9, 33] {
         let via_driver = driver.round_at(config.round_id, seed).unwrap();
-        let via_executor = executor.run_degraded(seed, &FaultPlan::none()).unwrap();
-        assert_eq!(via_driver.outcome, via_executor.round, "seed {seed}");
+        let single_shot = one_round(&topology, &config, ProtocolKind::S4, seed).unwrap();
+        assert_eq!(via_driver, single_shot, "seed {seed}");
         assert_eq!(via_driver.lanes(), 4);
+        assert_eq!(
+            via_driver.outcome.sharing.chain_len,
+            scalar.outcome.sharing.chain_len
+        );
+        assert_eq!(
+            via_driver.outcome.aggregator_count,
+            scalar.outcome.aggregator_count
+        );
     }
 }
 
@@ -218,26 +167,7 @@ fn fused_fault_plans_shape_driver_stats() {
 fn golden_round_report_display() {
     let deployment = lossy_flocklab_deployment(6, 0.3);
     let report = deployment.driver().step().unwrap();
-    assert_golden("round_report.txt", &report.to_string());
-}
-
-fn assert_golden(name: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "round report format drifted from {}; if intentional, regenerate with GOLDEN_REGEN=1",
-        path.display()
-    );
+    assert_golden!("round_report.txt", &report.to_string());
 }
 
 /// Observer fan-out and iterator streaming compose.

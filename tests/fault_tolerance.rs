@@ -2,10 +2,11 @@
 //!
 //! Three contracts are enforced here:
 //!
-//! 1. **Zero-fault plans are byte-identical to the plain executor** — for
-//!    every (topology, protocol, lane width) combination, running a round
-//!    through the degraded path with [`FaultPlan::none`] produces exactly
-//!    the outcome structure the fault-free path produces.
+//! 1. **Zero-fault plans are byte-identical to the plain round** — for
+//!    every (topology, protocol, lane width) combination, a fault plan
+//!    whose rates are all zero produces exactly the report of a deployment
+//!    without one, whatever its seed; and B = 1 rounds reproduce the
+//!    reference rounds frozen in `tests/golden/reference_rounds.txt`.
 //! 2. **Threshold-degraded reconstruction is exact** — any survivor set
 //!    of size ≥ t+1 reconstructs the same aggregate as the full set
 //!    (exhaustively at the SSS layer, and proptested over seeded fault
@@ -16,74 +17,79 @@
 //!    `tests/golden/` pin the report text for a recovered lossy round and
 //!    a below-threshold failure (regenerate with `GOLDEN_REGEN=1`).
 
-use ppda::mpc::{FaultPlan, MpcError, ProtocolConfig, ProtocolKind, RecoveryStatus, RoundPlan};
+use ppda::mpc::{
+    Deployment, FaultPlan, MpcError, ProtocolConfig, ProtocolKind, RecoveryStatus, RoundReport,
+};
 use ppda::topology::Topology;
 use ppda_bench::{run_campaign_faulty, Protocol};
-use ppda_testkit::{churn, grid9, grid9_config, lossy_flocklab};
+use ppda_testkit::{
+    assert_golden, assert_reference_round, churn, grid9, grid9_config, lossy_flocklab, testbeds,
+    FAILURE_SEEDS,
+};
 use proptest::prelude::*;
 
-/// Compare `actual` against the committed fixture, or rewrite it when
-/// `GOLDEN_REGEN=1` is set (same contract as `tests/wire_formats.rs`).
-fn assert_golden(name: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "degraded outcome format drifted from {}; if intentional, regenerate with GOLDEN_REGEN=1",
-        path.display()
-    );
+const REFERENCE: &str = include_str!("golden/reference_rounds.txt");
+
+fn deployment<'t>(
+    topology: &'t Topology,
+    config: &ProtocolConfig,
+    kind: ProtocolKind,
+    faults: FaultPlan,
+) -> Deployment<'t> {
+    Deployment::builder()
+        .topology_ref(topology)
+        .config(config.clone())
+        .protocol(kind)
+        .faults(faults)
+        .build()
+        .unwrap()
 }
 
-fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
-    let flocklab = Topology::flocklab();
-    let dcube = Topology::dcube();
-    let flocklab_config = ProtocolConfig::builder(flocklab.len())
-        .sources(6)
-        .build()
-        .unwrap();
-    let dcube_config = ProtocolConfig::builder(dcube.len())
-        .sources(7)
-        .ntx_sharing(7)
-        .ntx_reconstruction(7)
-        .build()
-        .unwrap();
-    vec![(flocklab, flocklab_config), (dcube, dcube_config)]
+/// One S4 round at the config's round id under `faults`.
+fn degraded_round(
+    topology: &Topology,
+    config: &ProtocolConfig,
+    faults: &FaultPlan,
+    seed: u64,
+) -> RoundReport {
+    deployment(topology, config, ProtocolKind::S4, faults.clone())
+        .driver()
+        .round_at(config.round_id, seed)
+        .unwrap()
 }
 
 #[test]
 fn zero_fault_plan_is_byte_identical_to_plain_executor() {
     // The core differential: every (topology, protocol, B ∈ {1, 4})
-    // combination, plain vs degraded-with-zero-plan, field for field.
-    let none = FaultPlan::none();
+    // combination, no fault plan vs a zero-rate plan with its own seed,
+    // field for field.
+    let zero = FaultPlan::lossy(0xFA17, 0.0);
+    assert!(zero.is_zero());
     for (topology, base_config) in testbeds() {
         for kind in [ProtocolKind::S3, ProtocolKind::S4] {
             for lanes in [1usize, 4] {
                 let mut config = base_config.clone();
                 config.batch = lanes;
-                let plan = RoundPlan::new(&topology, &config, kind).unwrap();
-                let mut plain = plan.executor();
-                let mut degraded = plan.executor();
+                let plain = Deployment::builder()
+                    .topology_ref(&topology)
+                    .config(config.clone())
+                    .protocol(kind)
+                    .build()
+                    .unwrap();
+                let degraded = deployment(&topology, &config, kind, zero.clone());
+                let (mut plain, mut degraded) = (plain.driver(), degraded.driver());
                 for seed in [1u64, 7, 42, 0xBEEF] {
-                    let a = plain.run(seed).unwrap();
-                    let b = degraded.run_degraded(seed, &none).unwrap();
+                    let a = plain.round_at(config.round_id, seed).unwrap();
+                    let b = degraded.round_at(config.round_id, seed).unwrap();
                     assert_eq!(
                         a,
-                        b.round,
+                        b,
                         "{} on {} with B={lanes} diverged at seed {seed}",
                         kind.name(),
                         topology.name()
                     );
                     // And the report confirms nothing was injected.
-                    assert!(b.degraded.recovered());
+                    assert!(b.recovered());
                     assert_eq!(b.degraded.faults.nodes_dropped, 0);
                     assert_eq!(b.degraded.faults.shares_delayed, 0);
                     assert_eq!(b.degraded.faults.sums_delayed, 0);
@@ -96,28 +102,15 @@ fn zero_fault_plan_is_byte_identical_to_plain_executor() {
 
 #[test]
 fn zero_fault_plan_matches_the_scalar_reference_path() {
-    // B = 1 through the degraded path still equals RoundPlan::run_epoch —
-    // the chain plain-scalar ≡ plain-executor ≡ degraded-executor holds
-    // end to end.
-    let none = FaultPlan::none();
+    // B = 1 under an explicit zero plan still renders the frozen
+    // reference rounds of the original scalar pipeline.
     for (topology, config) in testbeds() {
         for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let plan = RoundPlan::new(&topology, &config, kind).unwrap();
-            let mut executor = plan.executor();
-            for seed in [3u64, 19] {
-                let scalar = plan.run(seed).unwrap();
-                let degraded = executor
-                    .run_degraded(seed, &none)
-                    .unwrap()
-                    .into_scalar()
-                    .unwrap();
-                assert_eq!(
-                    scalar,
-                    degraded.round,
-                    "{} on {} diverged at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
+            let deployment = deployment(&topology, &config, kind, FaultPlan::none());
+            let mut driver = deployment.driver();
+            for seed in FAILURE_SEEDS {
+                let report = driver.round_at(config.round_id, seed).unwrap();
+                assert_reference_round(REFERENCE, &topology, kind, &report, false);
             }
         }
     }
@@ -184,9 +177,9 @@ fn below_threshold_rounds_fail_typed_not_wrong() {
     // AggregationFailed — and no live node may hold *any* aggregate.
     let topology = grid9();
     let config = grid9_config().sources(4).build().unwrap();
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let threshold = plan.threshold();
-    let destinations = plan.destinations().to_vec();
+    let plain = deployment(&topology, &config, ProtocolKind::S4, FaultPlan::none());
+    let threshold = plain.plan().threshold();
+    let destinations = plain.plan().destinations().to_vec();
     // Kill all but threshold-1 aggregators for this round id.
     let round_id = config.round_id;
     let victims = &destinations[..destinations.len() - (threshold - 1)];
@@ -194,10 +187,7 @@ fn below_threshold_rounds_fail_typed_not_wrong() {
         .iter()
         .map(|&d| (d, round_id, round_id + 1))
         .collect();
-    let faults = churn(&windows);
-
-    let mut executor = plan.executor();
-    let out = executor.run_degraded(5, &faults).unwrap();
+    let out = degraded_round(&topology, &config, &churn(&windows), 5);
     assert!(!out.degraded.recovered());
     assert!(matches!(
         out.degraded.recovery,
@@ -209,7 +199,7 @@ fn below_threshold_rounds_fail_typed_not_wrong() {
     ));
     assert_eq!(out.degraded.survivors.len(), threshold - 1);
     assert_eq!(out.degraded.nodes_recovered, 0);
-    for node in out.round.live_nodes() {
+    for node in out.outcome.live_nodes() {
         assert_eq!(
             node.aggregates, None,
             "below the threshold nothing may reconstruct"
@@ -246,16 +236,15 @@ fn degraded_campaign_at_twenty_percent_loss_recovers() {
 fn golden_degraded_outcome_recovered() {
     // Freeze the degraded outcome text format on a seeded lossy round.
     let (topology, config, faults) = lossy_flocklab(6, 0.3);
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let out = plan.executor().run_degraded(11, &faults).unwrap();
+    let out = degraded_round(&topology, &config, &faults, 11);
     let text = format!(
         "protocol {} testbed {} lanes {}\n{}",
-        out.round.protocol,
+        out.outcome.protocol,
         topology.name(),
-        out.round.lanes,
+        out.outcome.lanes,
         out.degraded
     );
-    assert_golden("degraded_outcome.txt", &text);
+    assert_golden!("degraded_outcome.txt", &text);
 }
 
 #[test]
@@ -264,19 +253,20 @@ fn golden_degraded_outcome_below_threshold() {
     // removing all but t-1 aggregators.
     let topology = grid9();
     let config = grid9_config().sources(4).build().unwrap();
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
+    let plain = deployment(&topology, &config, ProtocolKind::S4, FaultPlan::none());
+    let plan = plain.plan();
     let destinations = plan.destinations().to_vec();
     let round_id = config.round_id;
     let windows: Vec<(u16, u32, u32)> = destinations[..destinations.len() - (plan.threshold() - 1)]
         .iter()
         .map(|&d| (d, round_id, round_id + 1))
         .collect();
-    let out = plan.executor().run_degraded(5, &churn(&windows)).unwrap();
+    let out = degraded_round(&topology, &config, &churn(&windows), 5);
     let text = format!(
         "protocol {} testbed grid9 lanes {}\n{}",
-        out.round.protocol, out.round.lanes, out.degraded
+        out.outcome.protocol, out.outcome.lanes, out.degraded
     );
-    assert_golden("degraded_failure.txt", &text);
+    assert_golden!("degraded_failure.txt", &text);
 }
 
 #[test]
@@ -284,19 +274,15 @@ fn batched_lanes_take_the_same_degraded_path() {
     // B = 4 under loss: the transport, survivor set and fault report are
     // lane-independent (the lanes travel together), and every node that
     // recovered holds all four correct lane aggregates.
-    let (topology, mut config, faults) = lossy_flocklab(6, 0.25);
+    let (topology, scalar_config, faults) = lossy_flocklab(6, 0.25);
+    let mut config = scalar_config.clone();
     config.batch = 4;
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let scalar_plan = {
-        let mut c = config.clone();
-        c.batch = 1;
-        RoundPlan::new(&topology, &c, ProtocolKind::S4).unwrap()
-    };
-    let mut batched = plan.executor();
-    let mut scalar = scalar_plan.executor();
+    let batched = deployment(&topology, &config, ProtocolKind::S4, faults.clone());
+    let scalar = deployment(&topology, &scalar_config, ProtocolKind::S4, faults);
+    let (mut batched, mut scalar) = (batched.driver(), scalar.driver());
     for seed in [2u64, 9, 33] {
-        let b = batched.run_degraded(seed, &faults).unwrap();
-        let s = scalar.run_degraded(seed, &faults).unwrap();
+        let b = batched.round_at(config.round_id, seed).unwrap();
+        let s = scalar.round_at(config.round_id, seed).unwrap();
         // Same fault realization and survivor set regardless of B: the
         // degraded path is lane-width-agnostic.
         assert_eq!(b.degraded.survivors, s.degraded.survivors, "seed {seed}");
@@ -305,11 +291,11 @@ fn batched_lanes_take_the_same_degraded_path() {
             b.degraded.faults.nodes_dropped, s.degraded.faults.nodes_dropped,
             "seed {seed}"
         );
-        assert_eq!(b.round.lanes, 4);
-        for node in b.round.live_nodes() {
+        assert_eq!(b.outcome.lanes, 4);
+        for node in b.outcome.live_nodes() {
             if let Some(aggs) = &node.aggregates {
                 if node.included_sources as usize == config.sources.len() {
-                    assert_eq!(aggs, &b.round.expected_sums, "seed {seed}");
+                    assert_eq!(aggs, &b.outcome.expected_sums, "seed {seed}");
                 }
             }
         }
@@ -331,13 +317,11 @@ proptest! {
     ) {
         let topology = grid9();
         let config = grid9_config().sources(5).build().unwrap();
-        let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-        let mut executor = plan.executor();
         let faults = FaultPlan::lossy(fault_seed, loss_pct as f64 / 100.0)
             .with_dropout(dropout_pct as f64 / 100.0);
-        let out = executor.run_degraded(seed, &faults).unwrap();
+        let out = degraded_round(&topology, &config, &faults, seed);
 
-        let threshold = plan.threshold();
+        let threshold = out.degraded.threshold;
         match out.degraded.recovery {
             RecoveryStatus::Recovered { margin } => {
                 prop_assert_eq!(out.degraded.survivors.len(), threshold + margin);
@@ -349,22 +333,22 @@ proptest! {
             status => prop_assert!(false, "unknown recovery verdict {status:?}"),
         }
         // Live sources this round (the fault plan may have dropped some).
-        let live_sources = out.round.source_count
-            - out.round.nodes.iter().enumerate()
+        let live_sources = out.outcome.source_count
+            - out.outcome.nodes.iter().enumerate()
                 .filter(|&(v, n)| n.failed && config.sources.contains(&(v as u16)))
                 .count();
-        for node in out.round.live_nodes() {
+        for node in out.outcome.live_nodes() {
             if let Some(aggs) = &node.aggregates {
                 // A full-coverage aggregate must be *the* aggregate.
                 if node.included_sources as usize == live_sources {
-                    prop_assert_eq!(aggs, &out.round.expected_sums);
+                    prop_assert_eq!(aggs, &out.outcome.expected_sums);
                 }
             }
         }
         prop_assert_eq!(
             out.degraded.nodes_recovered > 0,
-            out.round.live_nodes().any(|n| {
-                n.aggregates.as_deref() == Some(&out.round.expected_sums[..])
+            out.outcome.live_nodes().any(|n| {
+                n.aggregates.as_deref() == Some(&out.outcome.expected_sums[..])
                     && n.included_sources as usize == live_sources
             })
         );
@@ -382,16 +366,14 @@ proptest! {
     ) {
         let topology = grid9();
         let config = grid9_config().sources(6).build().unwrap();
-        let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-        let mut executor = plan.executor();
         let faults = FaultPlan::lossy(fault_seed, loss_pct as f64 / 100.0).with_delay(0.1);
-        let out = executor.run_degraded(seed, &faults).unwrap();
+        let out = degraded_round(&topology, &config, &faults, seed);
         let full = config.sources.len() as u32;
         let mut agreed: Option<Vec<u64>> = None;
-        for node in out.round.live_nodes() {
+        for node in out.outcome.live_nodes() {
             if node.included_sources == full {
                 let aggs = node.aggregates.clone().expect("full coverage implies a value");
-                prop_assert_eq!(&aggs, &out.round.expected_sums);
+                prop_assert_eq!(&aggs, &out.outcome.expected_sums);
                 if let Some(prev) = &agreed {
                     prop_assert_eq!(prev, &aggs);
                 }

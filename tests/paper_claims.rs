@@ -2,12 +2,12 @@
 //! deliberately conservative versions of the quantitative results recorded
 //! in EXPERIMENTS.md (which use 100-iteration campaigns); here a handful of
 //! seeded rounds must reproduce each *shape*.
-#![allow(deprecated)] // this suite exercises the legacy single-shot oracle
 
 use ppda::ct::MiniCast;
-use ppda::mpc::{ProtocolConfig, S3Protocol, S4Protocol};
+use ppda::mpc::{ProtocolConfig, ProtocolKind};
 use ppda::radio::{FadingProfile, FrameSpec};
 use ppda::topology::Topology;
+use ppda_testkit::one_round;
 
 /// §IV: "S4 achieves private aggregation at least 6× faster … in FlockLab".
 /// Conservative bound here (≥4× over 3 seeds) — the full campaign measures
@@ -17,8 +17,12 @@ fn s4_latency_advantage_flocklab() {
     let t = Topology::flocklab();
     let config = ProtocolConfig::builder(t.len()).build().unwrap();
     for seed in [2u64, 4, 8] {
-        let s3 = S3Protocol::new(config.clone()).run(&t, seed).unwrap();
-        let s4 = S4Protocol::new(config.clone()).run(&t, seed).unwrap();
+        let s3 = one_round(&t, &config, ProtocolKind::S3, seed)
+            .unwrap()
+            .outcome;
+        let s4 = one_round(&t, &config, ProtocolKind::S4, seed)
+            .unwrap()
+            .outcome;
         let (l3, l4) = (
             s3.mean_latency_ms().expect("S3 completes"),
             s4.mean_latency_ms().expect("S4 completes"),
@@ -32,8 +36,8 @@ fn s4_latency_advantage_flocklab() {
 fn s4_radio_advantage_flocklab() {
     let t = Topology::flocklab();
     let config = ProtocolConfig::builder(t.len()).build().unwrap();
-    let s3 = S3Protocol::new(config.clone()).run(&t, 6).unwrap();
-    let s4 = S4Protocol::new(config).run(&t, 6).unwrap();
+    let s3 = one_round(&t, &config, ProtocolKind::S3, 6).unwrap().outcome;
+    let s4 = one_round(&t, &config, ProtocolKind::S4, 6).unwrap().outcome;
     assert!(s3.mean_radio_on_ms() > 4.0 * s4.mean_radio_on_ms());
 }
 
@@ -49,8 +53,8 @@ fn dcube_ratio_exceeds_flocklab_ratio() {
             .fading(fading)
             .build()
             .unwrap();
-        let s3 = S3Protocol::new(config.clone()).run(t, 5).unwrap();
-        let s4 = S4Protocol::new(config).run(t, 5).unwrap();
+        let s3 = one_round(t, &config, ProtocolKind::S3, 5).unwrap().outcome;
+        let s4 = one_round(t, &config, ProtocolKind::S4, 5).unwrap().outcome;
         s3.scheduled_round_ms() / s4.scheduled_round_ms()
     };
     let fl = ratio(&Topology::flocklab(), 15, 6, FadingProfile::office());
@@ -72,8 +76,8 @@ fn chain_size_complexity() {
     let config = ProtocolConfig::builder(n).build().unwrap();
     let k = config.degree;
     let r = config.aggregator_redundancy;
-    let s3 = S3Protocol::new(config.clone()).run(&t, 1).unwrap();
-    let s4 = S4Protocol::new(config).run(&t, 1).unwrap();
+    let s3 = one_round(&t, &config, ProtocolKind::S3, 1).unwrap().outcome;
+    let s4 = one_round(&t, &config, ProtocolKind::S4, 1).unwrap().outcome;
     assert_eq!(s3.sharing.chain_len, n * (n - 1));
     assert_eq!(s3.reconstruction.chain_len, n);
     // Every source sends to the k+1+r aggregators (minus itself if it is one).
@@ -105,9 +109,9 @@ fn lower_degree_is_cheaper() {
     let t = Topology::flocklab();
     let run = |k: usize| {
         let config = ProtocolConfig::builder(t.len()).degree(k).build().unwrap();
-        S4Protocol::new(config)
-            .run(&t, 9)
+        one_round(&t, &config, ProtocolKind::S4, 9)
             .unwrap()
+            .outcome
             .scheduled_round_ms()
     };
     let low = run(2);
@@ -140,8 +144,8 @@ fn absolute_scale_matches_paper_axis() {
             .full_coverage_ntx(s3_ntx)
             .build()
             .unwrap();
-        let s3 = S3Protocol::new(config.clone()).run(&t, 3).unwrap();
-        let s4 = S4Protocol::new(config).run(&t, 3).unwrap();
+        let s3 = one_round(&t, &config, ProtocolKind::S3, 3).unwrap().outcome;
+        let s4 = one_round(&t, &config, ProtocolKind::S4, 3).unwrap().outcome;
         for ms in [s3.scheduled_round_ms(), s4.scheduled_round_ms()] {
             assert!(
                 (100.0..200_000.0).contains(&ms),

@@ -1,46 +1,88 @@
-//! The plan layer's correctness contract: executing rounds over a reused
-//! [`RoundPlan`] must be **byte-identical** to the legacy single-shot path
-//! (`S3Protocol::run` / `S4Protocol::run`, which compile a fresh plan per
-//! call) — for both protocols, on both testbeds, with and without explicit
-//! inputs and failure injection. The batched executor extends the same
-//! contract: a 1-lane [`RoundExecutor`](ppda::mpc::RoundExecutor) round is
-//! byte-identical to the scalar path.
-#![allow(deprecated)] // the legacy single-shot wrappers are the oracle here
+//! The plan layer's correctness contract: rounds executed over a reused
+//! [`RoundPlan`] — one driver streaming many rounds over one compiled
+//! plan — must be **byte-identical** to single-shot rounds that compile a
+//! fresh deployment per call, and both must reproduce the reference
+//! rounds frozen in `tests/golden/reference_rounds.txt` — for both
+//! protocols, on both testbeds, with and without explicit inputs and
+//! failure injection. That fixture was rendered from the original scalar
+//! pipeline, so B = 1 driver rounds stay byte-identical to it.
+//!
+//! To regenerate after an *intentional* change to the round pipeline:
+//! `GOLDEN_REGEN=1 cargo test --test plan_reuse` — then review the diff.
 
-use ppda::mpc::{
-    AggregationSession, MpcError, ProtocolConfig, ProtocolKind, RoundPlan, S3Protocol, S4Protocol,
-    SessionProtocol,
-};
+use ppda::mpc::{Deployment, ProtocolConfig, ProtocolKind, RoundPlan, RoundReport};
 use ppda::topology::Topology;
+use ppda_testkit::{
+    assert_golden, assert_reference_round, failure_inputs, one_round, one_round_with,
+    reference_block, testbeds, CLOCK_EPOCHS, CLOCK_SEED, FAILURE_SEEDS, REFERENCE_SEEDS,
+};
 
-fn testbeds() -> Vec<(Topology, ProtocolConfig)> {
-    let flocklab = Topology::flocklab();
-    let dcube = Topology::dcube();
-    let flocklab_config = ProtocolConfig::builder(flocklab.len())
-        .sources(6)
+const REFERENCE: &str = include_str!("golden/reference_rounds.txt");
+
+const KINDS: [ProtocolKind; 2] = [ProtocolKind::S3, ProtocolKind::S4];
+
+fn deployment<'t>(
+    topology: &'t Topology,
+    config: &ProtocolConfig,
+    kind: ProtocolKind,
+) -> Deployment<'t> {
+    Deployment::builder()
+        .topology_ref(topology)
+        .config(config.clone())
+        .protocol(kind)
         .build()
-        .unwrap();
-    let dcube_config = ProtocolConfig::builder(dcube.len())
-        .sources(7)
-        .ntx_sharing(7)
-        .ntx_reconstruction(7)
-        .build()
-        .unwrap();
-    vec![(flocklab, flocklab_config), (dcube, dcube_config)]
+        .unwrap()
+}
+
+fn assert_reference(topology: &Topology, kind: ProtocolKind, report: &RoundReport, explicit: bool) {
+    assert_reference_round(REFERENCE, topology, kind, report, explicit);
+}
+
+/// Every reference point through B = 1 drivers, rendered in fixture order:
+/// per testbed and protocol the generated-readings seeds, then the
+/// explicit-inputs failure seeds; per testbed the advancing S4 clock.
+#[test]
+fn reference_rounds_match_the_frozen_scalar_path() {
+    let mut text = String::new();
+    for (topology, config) in testbeds() {
+        for kind in KINDS {
+            let deployment = deployment(&topology, &config, kind);
+            let mut driver = deployment.driver();
+            for seed in REFERENCE_SEEDS {
+                let report = driver.round_at(config.round_id, seed).unwrap();
+                text += &reference_block(&topology, kind, &report, false);
+            }
+            let (readings, failed) = failure_inputs(&config);
+            for seed in FAILURE_SEEDS {
+                let report = driver
+                    .round_at_with(config.round_id, seed, &readings, &failed)
+                    .unwrap();
+                text += &reference_block(&topology, kind, &report, true);
+            }
+        }
+        let deployment = Deployment::builder()
+            .topology_ref(&topology)
+            .config(config.clone())
+            .protocol(ProtocolKind::S4)
+            .seed(CLOCK_SEED)
+            .build()
+            .unwrap();
+        for report in deployment.driver().take(CLOCK_EPOCHS as usize) {
+            text += &reference_block(&topology, ProtocolKind::S4, &report.unwrap(), false);
+        }
+    }
+    assert_golden!("reference_rounds.txt", &text);
 }
 
 #[test]
 fn reused_plan_matches_single_shot_s3_and_s4() {
     for (topology, config) in testbeds() {
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let plan = RoundPlan::new(&topology, &config, kind).unwrap();
+        for kind in KINDS {
+            let deployment = deployment(&topology, &config, kind);
+            let mut driver = deployment.driver();
             for seed in [1u64, 7, 42, 0xBEEF] {
-                let planned = plan.run(seed).unwrap();
-                let single_shot = match kind {
-                    ProtocolKind::S3 => S3Protocol::new(config.clone()).run(&topology, seed),
-                    ProtocolKind::S4 => S4Protocol::new(config.clone()).run(&topology, seed),
-                }
-                .unwrap();
+                let planned = driver.round_at(config.round_id, seed).unwrap();
+                let single_shot = one_round(&topology, &config, kind, seed).unwrap();
                 assert_eq!(
                     planned,
                     single_shot,
@@ -48,6 +90,7 @@ fn reused_plan_matches_single_shot_s3_and_s4() {
                     kind.name(),
                     topology.name()
                 );
+                assert_reference(&topology, kind, &planned, false);
             }
         }
     }
@@ -56,23 +99,16 @@ fn reused_plan_matches_single_shot_s3_and_s4() {
 #[test]
 fn reused_plan_matches_single_shot_with_failures() {
     for (topology, config) in testbeds() {
-        let n = topology.len();
-        let secrets: Vec<u64> = (0..config.sources.len() as u64).map(|i| 100 + i).collect();
-        let mut failed = vec![false; n];
-        failed[1] = true;
-        failed[n - 1] = true;
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let plan = RoundPlan::new(&topology, &config, kind).unwrap();
-            for seed in [3u64, 19] {
-                let planned = plan.run_with(seed, &secrets, &failed).unwrap();
-                let single_shot =
-                    match kind {
-                        ProtocolKind::S3 => S3Protocol::new(config.clone())
-                            .run_with(&topology, seed, &secrets, &failed),
-                        ProtocolKind::S4 => S4Protocol::new(config.clone())
-                            .run_with(&topology, seed, &secrets, &failed),
-                    }
+        let (secrets, failed) = failure_inputs(&config);
+        for kind in KINDS {
+            let deployment = deployment(&topology, &config, kind);
+            let mut driver = deployment.driver();
+            for seed in FAILURE_SEEDS {
+                let planned = driver
+                    .round_at_with(config.round_id, seed, &secrets, &failed)
                     .unwrap();
+                let single_shot =
+                    one_round_with(&topology, &config, kind, seed, &secrets, &failed).unwrap();
                 assert_eq!(
                     planned,
                     single_shot,
@@ -80,6 +116,7 @@ fn reused_plan_matches_single_shot_with_failures() {
                     kind.name(),
                     topology.name()
                 );
+                assert_reference(&topology, kind, &planned, true);
             }
         }
     }
@@ -90,42 +127,43 @@ fn plan_rounds_are_independent_of_execution_order() {
     // Replaying a seed after other rounds ran in between must give the
     // same outcome: the plan carries no mutable round state.
     let (topology, config) = testbeds().remove(0);
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let first = plan.run(11).unwrap();
+    let deployment = deployment(&topology, &config, ProtocolKind::S4);
+    let mut driver = deployment.driver();
+    let first = driver.round_at(config.round_id, 11).unwrap();
     for seed in [5u64, 23, 99] {
-        plan.run(seed).unwrap();
+        driver.round_at(config.round_id, seed).unwrap();
     }
-    let again = plan.run(11).unwrap();
+    let again = driver.round_at(config.round_id, 11).unwrap();
     assert_eq!(first, again);
 }
 
 #[test]
 fn session_epochs_match_single_shot_at_advanced_round_ids() {
-    // A session reuses one plan across epochs while advancing the round
+    // A driver reuses one plan across epochs while advancing the round
     // id; each epoch must equal a fresh single-shot run of a config with
     // that round id (regression guard for plan staleness).
     for (topology, config) in testbeds() {
-        let mut session = AggregationSession::new(
-            topology.clone(),
-            config.clone(),
-            SessionProtocol::S4,
-            0xFEED,
-        )
-        .unwrap();
-        for epoch in 0..3u64 {
-            let round_id = session.round_id();
-            let via_session = session.next_round().unwrap();
-
+        let deployment = Deployment::builder()
+            .topology_ref(&topology)
+            .config(config.clone())
+            .protocol(ProtocolKind::S4)
+            .seed(CLOCK_SEED)
+            .build()
+            .unwrap();
+        let mut driver = deployment.driver();
+        for epoch in 0..CLOCK_EPOCHS {
+            let via_session = driver.step().unwrap();
             let mut epoch_config = config.clone();
-            epoch_config.round_id = round_id;
-            let seed = ppda::sim::derive_stream(0xFEED, epoch);
-            let single_shot = S4Protocol::new(epoch_config).run(&topology, seed).unwrap();
+            epoch_config.round_id = config.round_id + epoch as u32;
+            let seed = ppda::sim::derive_stream(CLOCK_SEED, epoch);
+            let single_shot = one_round(&topology, &epoch_config, ProtocolKind::S4, seed).unwrap();
             assert_eq!(
                 via_session,
                 single_shot,
                 "epoch {epoch} on {} diverged",
                 topology.name()
             );
+            assert_reference(&topology, ProtocolKind::S4, &via_session, false);
         }
     }
 }
@@ -134,22 +172,16 @@ fn session_epochs_match_single_shot_at_advanced_round_ids() {
 fn single_lane_executor_is_byte_identical_to_scalar_path() {
     // The batching contract: with B = 1 the executor draws the same DRBG
     // streams, seals the same ciphertexts, simulates the same transport
-    // and reconstructs the same aggregates as the scalar path — the
-    // outcome structures must be *equal*, field for field.
+    // and reconstructs the same aggregates as the scalar pipeline whose
+    // rounds the reference fixture froze — field for field.
     for (topology, config) in testbeds() {
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let plan = RoundPlan::new(&topology, &config, kind).unwrap();
-            let mut executor = plan.executor();
-            for seed in [1u64, 7, 42, 0xBEEF] {
-                let scalar = plan.run(seed).unwrap();
-                let batched = executor.run(seed).unwrap().into_scalar().unwrap();
-                assert_eq!(
-                    batched,
-                    scalar,
-                    "{} on {} diverged at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
+        for kind in KINDS {
+            let deployment = deployment(&topology, &config, kind);
+            let mut driver = deployment.driver();
+            for seed in REFERENCE_SEEDS {
+                let report = driver.round_at(config.round_id, seed).unwrap();
+                assert_eq!(report.lanes(), 1);
+                assert_reference(&topology, kind, &report, false);
             }
         }
     }
@@ -158,28 +190,16 @@ fn single_lane_executor_is_byte_identical_to_scalar_path() {
 #[test]
 fn single_lane_executor_matches_scalar_under_failures() {
     for (topology, config) in testbeds() {
-        let n = topology.len();
-        let secrets: Vec<u64> = (0..config.sources.len() as u64).map(|i| 100 + i).collect();
-        let mut failed = vec![false; n];
-        failed[1] = true;
-        failed[n - 1] = true;
-        for kind in [ProtocolKind::S3, ProtocolKind::S4] {
-            let plan = RoundPlan::new(&topology, &config, kind).unwrap();
-            let mut executor = plan.executor();
-            for seed in [3u64, 19] {
-                let scalar = plan.run_with(seed, &secrets, &failed).unwrap();
-                let batched = executor
-                    .run_with(seed, &secrets, &failed)
-                    .unwrap()
-                    .into_scalar()
+        let (secrets, failed) = failure_inputs(&config);
+        for kind in KINDS {
+            let deployment = deployment(&topology, &config, kind);
+            let mut driver = deployment.driver();
+            for seed in FAILURE_SEEDS {
+                let report = driver
+                    .round_at_with(config.round_id, seed, &secrets, &failed)
                     .unwrap();
-                assert_eq!(
-                    batched,
-                    scalar,
-                    "{} on {} diverged under failures at seed {seed}",
-                    kind.name(),
-                    topology.name()
-                );
+                assert!(report.outcome.nodes[1].failed);
+                assert_reference(&topology, kind, &report, true);
             }
         }
     }
@@ -196,16 +216,21 @@ fn batched_lanes_aggregate_independent_readings() {
             c.batch = 4;
             c
         };
-        let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-        let mut executor = plan.executor();
         let sources = config.sources.len();
         // secrets[si * 4 + lane] = 1000·(lane+1) + si
         let secrets: Vec<u64> = (0..sources as u64)
             .flat_map(|si| (0..4u64).map(move |lane| 1000 * (lane + 1) + si))
             .collect();
-        let outcome = executor
-            .run_with(4, &secrets, &vec![false; topology.len()])
-            .unwrap();
+        let outcome = one_round_with(
+            &topology,
+            &config,
+            ProtocolKind::S4,
+            4,
+            &secrets,
+            &vec![false; topology.len()],
+        )
+        .unwrap()
+        .outcome;
         assert_eq!(outcome.lanes, 4);
         for lane in 0..4u64 {
             let expected: u64 = (0..sources as u64).map(|si| 1000 * (lane + 1) + si).sum();
@@ -233,10 +258,6 @@ fn batched_lanes_aggregate_independent_readings() {
                 assert_eq!(aggs, &outcome.expected_sums, "on {}", topology.name());
             }
         }
-        assert!(
-            outcome.into_scalar().is_none(),
-            "4 lanes have no scalar form"
-        );
     }
 }
 
@@ -244,35 +265,40 @@ fn batched_lanes_aggregate_independent_readings() {
 fn batched_rounds_replay_deterministically() {
     let (topology, mut config) = testbeds().remove(0);
     config.batch = 8;
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let mut a = plan.executor();
-    let mut b = plan.executor();
+    let deployment = deployment(&topology, &config, ProtocolKind::S4);
+    let (mut a, mut b) = (deployment.driver(), deployment.driver());
+    let round_id = config.round_id;
     for seed in [2u64, 9, 77] {
-        assert_eq!(a.run(seed).unwrap(), b.run(seed).unwrap());
+        assert_eq!(
+            a.round_at(round_id, seed).unwrap(),
+            b.round_at(round_id, seed).unwrap()
+        );
     }
     // Scratch reuse must not leak state between rounds: replay after
     // other work gives the same outcome.
-    let first = a.run(11).unwrap();
-    a.run(12).unwrap();
-    assert_eq!(a.run(11).unwrap(), first);
-}
-
-#[test]
-fn scalar_path_rejects_batched_plans() {
-    let (topology, mut config) = testbeds().remove(0);
-    config.batch = 4;
-    let plan = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    assert!(matches!(plan.run(1), Err(MpcError::InvalidConfig { .. })));
+    let first = a.round_at(round_id, 11).unwrap();
+    a.round_at(round_id, 12).unwrap();
+    assert_eq!(a.round_at(round_id, 11).unwrap(), first);
 }
 
 #[test]
 fn owned_plan_matches_borrowed_plan() {
     let (topology, config) = testbeds().remove(0);
-    let borrowed = RoundPlan::new(&topology, &config, ProtocolKind::S4).unwrap();
-    let owned = RoundPlan::new(&topology, &config, ProtocolKind::S4)
+    let borrowed = deployment(&topology, &config, ProtocolKind::S4);
+    let owned = Deployment::builder()
+        .topology(topology.clone())
+        .config(config.clone())
+        .protocol(ProtocolKind::S4)
+        .build()
+        .unwrap();
+    let detached = RoundPlan::new(&topology, &config, ProtocolKind::S4)
         .unwrap()
         .into_owned();
+    assert_eq!(detached.destinations(), borrowed.plan().destinations());
     for seed in [2u64, 13] {
-        assert_eq!(borrowed.run(seed).unwrap(), owned.run(seed).unwrap());
+        assert_eq!(
+            borrowed.driver().round_at(config.round_id, seed).unwrap(),
+            owned.driver().round_at(config.round_id, seed).unwrap()
+        );
     }
 }

@@ -12,27 +12,7 @@ use ppda::crypto::{Ccm, PairwiseKeys};
 use ppda::field::{share_x, Gf31, Gf61, Mersenne31, Mersenne61};
 use ppda::radio::FrameSpec;
 use ppda::sss::{Share, SharePacket, SumPacket};
-
-/// Compare `actual` against the committed fixture, or rewrite the fixture
-/// when `GOLDEN_REGEN=1` is set.
-fn assert_golden(name: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "wire format drifted from {}; if intentional, regenerate with GOLDEN_REGEN=1",
-        path.display()
-    );
-}
+use ppda_testkit::assert_golden;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -50,7 +30,7 @@ fn golden_sum_packet_m31() {
         mask: 0x0000_0000_0000_0000_0000_0000_DEAD_BEEF,
     };
     let encoded = pkt.encode();
-    assert_golden("sum_packet_m31.hex", &format!("{}\n", hex(&encoded)));
+    assert_golden!("sum_packet_m31.hex", &format!("{}\n", hex(&encoded)));
     assert_eq!(SumPacket::<Mersenne31>::decode(&encoded).unwrap(), pkt);
 }
 
@@ -66,7 +46,7 @@ fn golden_sum_packet_m61() {
         mask: u128::MAX,
     };
     let encoded = pkt.encode();
-    assert_golden("sum_packet_m61.hex", &format!("{}\n", hex(&encoded)));
+    assert_golden!("sum_packet_m61.hex", &format!("{}\n", hex(&encoded)));
     assert_eq!(SumPacket::<Mersenne61>::decode(&encoded).unwrap(), pkt);
 }
 
@@ -92,7 +72,7 @@ fn golden_sealed_share_packet() {
         assert_eq!(sealed.len(), SharePacket::<Mersenne31>::sealed_len(tag_len));
         lines.push_str(&format!("tag{tag_len} {}\n", hex(&sealed)));
     }
-    assert_golden("sealed_share_packet_m31.hex", &lines);
+    assert_golden!("sealed_share_packet_m31.hex", &lines);
     let sealed = pkt.seal(&keys, 4).unwrap();
     let opened =
         SharePacket::<Mersenne31>::open(&keys, 4, 2, 5, 7, share_x::<Mersenne31>(5), &sealed)
@@ -113,7 +93,7 @@ fn golden_ccm_nonce_layout() {
             hex(&Ccm::nonce(src, dst, round, x))
         ));
     }
-    assert_golden("ccm_nonce.hex", &lines);
+    assert_golden!("ccm_nonce.hex", &lines);
 }
 
 #[test]
@@ -132,7 +112,7 @@ fn golden_frame_timing_table() {
             f.slot_duration().as_micros()
         ));
     }
-    assert_golden("frame_timing.txt", &lines);
+    assert_golden!("frame_timing.txt", &lines);
 }
 
 #[test]

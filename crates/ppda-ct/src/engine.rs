@@ -1,21 +1,50 @@
-//! Shared slot-reception machinery for the CT protocols.
+//! Shared slot-reception machinery for the CT protocols: node sets as
+//! flat 64-bit word masks, and one reception kernel over them.
+//!
+//! A node set over `n` nodes is `n.div_ceil(64)` words; node `v` is bit
+//! `v % 64` of word `v / 64`. The transmitter set of a sub-slot, a
+//! packet's holders and a receiver's neighbourhood are all such masks,
+//! so "who transmits" and "which transmitters can this receiver hear"
+//! are a few word ANDs rather than per-node scans.
 
 use ppda_radio::channel::CI_RELIABILITY;
 use ppda_topology::Topology;
 
-/// Precomputed per-node neighbor lists (links with non-zero PRR), used to
-/// resolve one TDMA sub-slot in O(degree) instead of O(n).
+/// Words in a node mask over `n` nodes.
+#[inline]
+pub(crate) fn mask_words(n: usize) -> usize {
+    n.div_ceil(64)
+}
+
+/// Whether node `v` is in `mask`.
+#[inline]
+pub(crate) fn has(mask: &[u64], v: usize) -> bool {
+    mask[v / 64] >> (v % 64) & 1 != 0
+}
+
+/// Add node `v` to `mask`.
+#[inline]
+pub(crate) fn insert(mask: &mut [u64], v: usize) {
+    mask[v / 64] |= 1 << (v % 64);
+}
+
+/// Remove node `v` from `mask`.
+#[inline]
+pub(crate) fn remove(mask: &mut [u64], v: usize) {
+    mask[v / 64] &= !(1 << (v % 64));
+}
+
+/// Per-receiver link rows under one round's radio conditions.
 ///
-/// Two views of the same links are kept: receiver-major (`neighbors[v]` =
-/// who `v` can hear) for the one-receiver [`LinkTable::reception_prob`]
-/// query, and transmitter-major (`in_neighbors[u]` = who hears `u`) for
-/// the slot loop, which accumulates all receivers' miss products in one
-/// pass over the *transmitter* set — usually far smaller than the
-/// receiver set early in a flood.
+/// Row `v` holds, for every transmitter `u`, the link miss `1.0 − prr(v ← u)`
+/// (dense, 1.0 where there is no link) and the mask `nbr` of the
+/// transmitters in range of `v` (non-zero PRR).
 #[derive(Debug, Clone)]
 pub(crate) struct LinkTable {
-    neighbors: Vec<Vec<(u16, f64)>>,
-    in_neighbors: Vec<Vec<(u16, f64)>>,
+    n: usize,
+    words: usize,
+    nbr: Vec<u64>,
+    miss: Vec<f64>,
 }
 
 impl LinkTable {
@@ -30,77 +59,78 @@ impl LinkTable {
     pub(crate) fn with_loss(topology: &Topology, attenuation_db: f64, loss: f64) -> Self {
         let keep = 1.0 - loss.clamp(0.0, 1.0);
         let n = topology.len();
-        let neighbors: Vec<Vec<(u16, f64)>> = (0..n)
-            .map(|i| {
-                (0..n)
-                    .filter(|&j| j != i)
-                    .filter_map(|j| {
-                        let p = topology.prr_at(i, j, attenuation_db) * keep;
-                        (p > 0.0).then_some((j as u16, p))
-                    })
-                    .collect()
-            })
-            .collect();
-        // Transpose, preserving ascending order on the inner index so the
-        // transmitter-major accumulation multiplies link misses in exactly
-        // the order `reception_prob` does (bit-identical f64 products).
-        let mut in_neighbors: Vec<Vec<(u16, f64)>> = vec![Vec::new(); n];
-        for (v, nbs) in neighbors.iter().enumerate() {
-            for &(u, prr) in nbs {
-                in_neighbors[u as usize].push((v as u16, prr));
+        let words = mask_words(n);
+        let mut nbr = vec![0u64; n * words];
+        let mut miss = vec![1.0f64; n * n];
+        for v in 0..n {
+            for u in (0..n).filter(|&u| u != v) {
+                let prr = topology.prr_at(v, u, attenuation_db) * keep;
+                if prr > 0.0 {
+                    miss[v * n + u] = 1.0 - prr;
+                    insert(&mut nbr[v * words..(v + 1) * words], u);
+                }
             }
         }
         LinkTable {
-            neighbors,
-            in_neighbors,
+            n,
+            words,
+            nbr,
+            miss,
         }
     }
 
-    /// Receivers in range of transmitter `u`, with the PRR of the link
-    /// *towards* each receiver (i.e. `prr(receiver ← u)`).
-    pub(crate) fn in_neighbors(&self, u: usize) -> &[(u16, f64)] {
-        &self.in_neighbors[u]
-    }
-
-    /// Fold an accumulated miss product and in-range count into the final
-    /// reception probability (the tail of [`LinkTable::reception_prob`]).
-    #[inline]
-    pub(crate) fn combine(miss: f64, in_range: u32) -> f64 {
-        if in_range == 0 {
-            0.0
-        } else {
-            let combined = 1.0 - miss;
-            if in_range >= 2 {
-                combined * CI_RELIABILITY
-            } else {
-                combined
-            }
-        }
+    /// Words per node mask of this table.
+    pub(crate) fn words(&self) -> usize {
+        self.words
     }
 
     /// Probability that `receiver` decodes the packet of the current
-    /// sub-slot, given `is_tx[v]` flags for all transmitters (which all
-    /// carry the *same* packet — the MiniCast/Glossy case).
+    /// sub-slot, given the transmitter mask `tx` (all transmitters carry
+    /// the *same* packet — the MiniCast/Glossy case).
     ///
-    /// Sender diversity: `1 − Π(1 − PRRᵢ)` over in-range transmitters, with
-    /// the constructive-interference reliability factor applied when more
+    /// Sender diversity: `1 − Π(1 − PRRᵢ)` over the in-range
+    /// transmitters, multiplied in ascending transmitter order, with the
+    /// constructive-interference reliability factor applied when more
     /// than one copy arrives.
-    pub(crate) fn reception_prob(&self, receiver: usize, is_tx: &[bool]) -> f64 {
+    #[inline]
+    pub(crate) fn reception(&self, receiver: usize, tx: &[u64]) -> f64 {
+        let row = &self.nbr[receiver * self.words..(receiver + 1) * self.words];
+        let miss_row = &self.miss[receiver * self.n..(receiver + 1) * self.n];
         let mut miss = 1.0;
         let mut in_range = 0u32;
-        for &(nb, prr) in &self.neighbors[receiver] {
-            if is_tx[nb as usize] {
-                miss *= 1.0 - prr;
-                in_range += 1;
+        for (w, (&t, &r)) in tx.iter().zip(row).enumerate() {
+            let mut m = t & r;
+            in_range += m.count_ones();
+            while m != 0 {
+                miss *= miss_row[w * 64 + m.trailing_zeros() as usize];
+                m &= m - 1;
             }
         }
-        Self::combine(miss, in_range)
+        if in_range == 0 {
+            0.0
+        } else if in_range >= 2 {
+            (1.0 - miss) * CI_RELIABILITY
+        } else {
+            1.0 - miss
+        }
     }
 
     /// Neighbor count of a node (non-zero-PRR links).
     #[cfg(test)]
     pub(crate) fn degree(&self, node: usize) -> usize {
-        self.neighbors[node].len()
+        self.nbr[node * self.words..(node + 1) * self.words]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// The link rows as raw bits, for bit-identity checks.
+    #[cfg(test)]
+    pub(crate) fn fingerprint(&self) -> (Vec<u64>, Vec<u64>) {
+        (
+            self.nbr.clone(),
+            self.miss.iter().map(|q| q.to_bits()).collect(),
+        )
     }
 }
 
@@ -108,11 +138,81 @@ impl LinkTable {
 mod tests {
     use super::*;
 
+    /// The receiver-major, sparse neighbour-list formulation the kernel
+    /// replaced: per receiver, the `(transmitter, prr)` links with
+    /// non-zero PRR in ascending transmitter order, each folded in as
+    /// `1.0 − prr` when its transmitter is on the air.
+    struct SparseOracle {
+        neighbors: Vec<Vec<(usize, f64)>>,
+    }
+
+    impl SparseOracle {
+        fn new(topology: &Topology, attenuation_db: f64, loss: f64) -> Self {
+            let keep = 1.0 - loss.clamp(0.0, 1.0);
+            let n = topology.len();
+            let neighbors = (0..n)
+                .map(|v| {
+                    (0..n)
+                        .filter(|&u| u != v)
+                        .filter_map(|u| {
+                            let p = topology.prr_at(v, u, attenuation_db) * keep;
+                            (p > 0.0).then_some((u, p))
+                        })
+                        .collect()
+                })
+                .collect();
+            SparseOracle { neighbors }
+        }
+
+        fn reception_prob(&self, receiver: usize, is_tx: &[bool]) -> f64 {
+            let mut miss = 1.0;
+            let mut in_range = 0u32;
+            for &(nb, prr) in &self.neighbors[receiver] {
+                if is_tx[nb] {
+                    miss *= 1.0 - prr;
+                    in_range += 1;
+                }
+            }
+            if in_range == 0 {
+                0.0
+            } else {
+                let combined = 1.0 - miss;
+                if in_range >= 2 {
+                    combined * CI_RELIABILITY
+                } else {
+                    combined
+                }
+            }
+        }
+    }
+
+    fn mask_of(is_tx: &[bool]) -> Vec<u64> {
+        let mut m = vec![0u64; mask_words(is_tx.len())];
+        for (v, _) in is_tx.iter().enumerate().filter(|&(_, &t)| t) {
+            insert(&mut m, v);
+        }
+        m
+    }
+
+    #[test]
+    fn mask_helpers_cross_word_boundaries() {
+        let mut m = vec![0u64; mask_words(130)];
+        assert_eq!(m.len(), 3);
+        for v in [0, 63, 64, 127, 128, 129] {
+            assert!(!has(&m, v));
+            insert(&mut m, v);
+            assert!(has(&m, v));
+        }
+        remove(&mut m, 64);
+        assert!(!has(&m, 64) && has(&m, 63) && has(&m, 127));
+        assert_eq!(m.iter().map(|w| w.count_ones()).sum::<u32>(), 5);
+    }
+
     #[test]
     fn no_transmitters_no_reception() {
         let t = Topology::line(4, 30.0, 1);
         let links = LinkTable::new(&t, 0.0);
-        assert_eq!(links.reception_prob(0, &[false; 4]), 0.0);
+        assert_eq!(links.reception(0, &mask_of(&[false; 4])), 0.0);
     }
 
     #[test]
@@ -121,7 +221,7 @@ mod tests {
         let links = LinkTable::new(&t, 0.0);
         let mut is_tx = [false; 4];
         is_tx[3] = true; // 90 m away from node 0
-        assert_eq!(links.reception_prob(0, &is_tx), 0.0);
+        assert_eq!(links.reception(0, &mask_of(&is_tx)), 0.0);
     }
 
     #[test]
@@ -130,7 +230,7 @@ mod tests {
         let links = LinkTable::new(&t, 0.0);
         let mut is_tx = [false; 4];
         is_tx[1] = true;
-        let p = links.reception_prob(0, &is_tx);
+        let p = links.reception(0, &mask_of(&is_tx));
         assert!((p - t.prr(0, 1)).abs() < 1e-12);
     }
 
@@ -140,38 +240,52 @@ mod tests {
         let links = LinkTable::new(&t, 0.0);
         let mut one = vec![false; 9];
         one[1] = true;
-        let p1 = links.reception_prob(0, &one);
+        let p1 = links.reception(0, &mask_of(&one));
         let mut two = one.clone();
         two[3] = true;
-        let p2 = links.reception_prob(0, &two);
+        let p2 = links.reception(0, &mask_of(&two));
         assert!(p2 >= p1 * 0.999, "diversity must not hurt: {p1} vs {p2}");
     }
 
     #[test]
-    fn transmitter_major_accumulation_is_bit_identical() {
-        // The slot loop accumulates miss products transmitter-major; the
-        // result must equal reception_prob bit-for-bit (same multiply
-        // order), for every receiver and transmitter set.
-        let t = Topology::grid(4, 4, 14.0, 3);
-        let n = t.len();
-        let links = LinkTable::new(&t, 2.0);
-        for pattern in [0b1u32, 0b1010, 0b111100, 0xFFFF] {
-            let is_tx: Vec<bool> = (0..n).map(|v| pattern & (1 << v) != 0).collect();
-            let mut miss = vec![1.0f64; n];
-            let mut in_range = vec![0u32; n];
-            for (u, &tx) in is_tx.iter().enumerate() {
-                if !tx {
-                    continue;
+    fn mask_kernel_is_bit_identical_to_the_sparse_oracle() {
+        // The mask kernel multiplies link misses in ascending transmitter
+        // order over `tx & nbr[v]`; the result must equal the sparse
+        // neighbour-list product bit for bit, for every receiver and
+        // transmitter set — including sets that straddle word boundaries
+        // and links degraded by loss.
+        let cases = [
+            (Topology::grid(4, 4, 14.0, 3), 2.0, 0.0),
+            (Topology::grid(8, 8, 15.0, 3), 0.0, 0.3),
+            (Topology::random_geometric(65, 110.0, 110.0, 7), 1.5, 0.0),
+            (Topology::grid(16, 8, 15.0, 5), 6.0, 0.1),
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for (t, db, loss) in &cases {
+            let n = t.len();
+            let links = LinkTable::with_loss(t, *db, *loss);
+            let oracle = SparseOracle::new(t, *db, *loss);
+            for density in [1u64, 4, 16, 48, 64] {
+                for _ in 0..8 {
+                    let is_tx: Vec<bool> = (0..n)
+                        .map(|_| {
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            state % 64 < density
+                        })
+                        .collect();
+                    let tx = mask_of(&is_tx);
+                    for v in 0..n {
+                        let direct = oracle.reception_prob(v, &is_tx);
+                        let kernel = links.reception(v, &tx);
+                        assert_eq!(
+                            direct.to_bits(),
+                            kernel.to_bits(),
+                            "n {n}, receiver {v}, density {density}"
+                        );
+                    }
                 }
-                for &(v, prr) in links.in_neighbors(u) {
-                    miss[v as usize] *= 1.0 - prr;
-                    in_range[v as usize] += 1;
-                }
-            }
-            for v in 0..n {
-                let direct = links.reception_prob(v, &is_tx);
-                let folded = LinkTable::combine(miss[v], in_range[v]);
-                assert_eq!(direct.to_bits(), folded.to_bits(), "receiver {v}");
             }
         }
     }
@@ -182,5 +296,14 @@ mod tests {
         let links = LinkTable::new(&t, 0.0);
         // End node has at least its adjacent neighbor.
         assert!(links.degree(0) >= 1);
+    }
+
+    #[test]
+    fn zero_loss_table_matches_the_plain_constructor() {
+        let t = Topology::grid(3, 3, 18.0, 5);
+        assert_eq!(
+            LinkTable::new(&t, 2.25).fingerprint(),
+            LinkTable::with_loss(&t, 2.25, 0.0).fingerprint()
+        );
     }
 }

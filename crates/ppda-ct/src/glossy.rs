@@ -11,7 +11,7 @@ use ppda_radio::{EnergyLedger, FrameSpec};
 use ppda_sim::{SimDuration, SimTime, Xoshiro256};
 use ppda_topology::Topology;
 
-use crate::engine::LinkTable;
+use crate::engine::{has, insert, LinkTable};
 
 /// Glossy flood parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,39 +149,35 @@ impl<'a> Glossy<'a> {
             tx_remaining[self.initiator] = self.config.ntx;
         }
 
-        let mut is_tx = vec![false; n];
+        let mut tx = vec![0u64; self.links.words()];
         let mut slots_run = 0u32;
         for s in 0..self.max_slots {
             slots_run = s + 1;
             let slot_start = SimTime::ZERO + slot * s as u64;
-            let mut any_tx = false;
-            for v in 0..n {
-                let tx = !off[v] && tx_remaining[v] > 0;
-                is_tx[v] = tx;
-                any_tx |= tx;
+            tx.fill(0);
+            for v in (0..n).filter(|&v| !off[v] && tx_remaining[v] > 0) {
+                insert(&mut tx, v);
             }
-            if !any_tx {
+            if tx.iter().all(|&w| w == 0) {
                 slots_run = s;
                 break;
             }
-            for v in 0..n {
-                if is_tx[v] {
-                    tx_remaining[v] -= 1;
-                    tx_count[v] += 1;
-                    ledgers[v].add_tx(airtime);
-                    ledgers[v].add_listen(slot.saturating_sub(airtime));
-                    // After its last transmission a node turns off.
-                    if tx_remaining[v] == 0 {
-                        off[v] = true;
-                    }
+            for v in (0..n).filter(|&v| has(&tx, v)) {
+                tx_remaining[v] -= 1;
+                tx_count[v] += 1;
+                ledgers[v].add_tx(airtime);
+                ledgers[v].add_listen(slot.saturating_sub(airtime));
+                // After its last transmission a node turns off.
+                if tx_remaining[v] == 0 {
+                    off[v] = true;
                 }
             }
             for v in 0..n {
-                if off[v] || is_tx[v] {
+                if off[v] || has(&tx, v) {
                     continue;
                 }
                 if first_rx[v].is_none() {
-                    let p = self.links.reception_prob(v, &is_tx);
+                    let p = self.links.reception(v, &tx);
                     if p > 0.0 && rng.chance(p) {
                         first_rx[v] = Some(slot_start + slot);
                         tx_remaining[v] = self.config.ntx;

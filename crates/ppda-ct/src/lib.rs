@@ -58,5 +58,5 @@ pub use fault::{Delivery, FaultPlan, RoundFaults};
 pub use glossy::{Glossy, GlossyConfig, GlossyResult};
 pub use minicast::{
     LinkConditions, LinkConditionsCache, MiniCast, MiniCastConfig, MiniCastResult,
-    MiniCastSchedule, NodeOutcome,
+    MiniCastSchedule, MiniCastScratch, NeedSet, NodeOutcome,
 };

@@ -10,15 +10,34 @@
 //! * [`LinkConditions`] — the cheap per-round state: the link table under
 //!   this round's attenuation draw. One instance serves every phase of a
 //!   round (all phases happen within seconds, under the same fading).
+//! * [`NeedSet`] and [`MiniCastScratch`] — what a round-based caller
+//!   hands [`MiniCastSchedule::run_needs`]: a compiled completion rule
+//!   (per-packet flags and per-node quotas, O(1) per reception) and the
+//!   engine's reusable buffers.
 //! * [`MiniCast`] — the original single-shot convenience API, now a thin
 //!   wrapper binding a schedule to one set of link conditions.
+//!
+//! # The slot engine
+//!
+//! One engine runs every flood. Node sets are flat 64-bit word masks
+//! (see `engine.rs`): each packet keeps the mask of the nodes holding it,
+//! so a sub-slot's transmitter set is `active & holders[j]` and its
+//! listeners are the powered nodes outside it. A listener's reception
+//! probability multiplies link misses over the set bits of
+//! `tx & nbr[v]` in ascending transmitter order, so every probability and
+//! every RNG draw is bit-identical to a per-node, neighbour-list
+//! formulation. Radio time is booked per cycle in bulk: packet `j` is on
+//! the air only in sub-slot `j`, so an active node transmits exactly the
+//! packets it held when the cycle began and listens in every other
+//! sub-slot. [`MiniCastSchedule::run_with`] adapts a closure predicate to
+//! the same engine.
 
 use ppda_radio::{EnergyLedger, FrameSpec};
 use ppda_sim::{derive_stream, SimDuration, SimTime, Xoshiro256};
 use ppda_topology::Topology;
 
 use crate::chain::ChainSpec;
-use crate::engine::LinkTable;
+use crate::engine::{has, insert, remove, LinkTable};
 
 /// MiniCast round parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,10 +92,6 @@ pub struct NodeOutcome {
     /// Which chain packets this node holds at round end (own packets
     /// included).
     pub received: Vec<bool>,
-    /// Reception instant per packet (`Some(ZERO)` for own packets); `None`
-    /// for packets never received. Lets protocol layers compute custom
-    /// readiness latencies post-hoc.
-    pub rx_at: Vec<Option<SimTime>>,
     /// First instant at which the completion predicate held, if ever.
     pub predicate_met_at: Option<SimTime>,
     /// Instant the node switched its radio off (budget exhausted and
@@ -91,7 +106,7 @@ pub struct NodeOutcome {
 }
 
 /// Aggregate outcome of a MiniCast round.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MiniCastResult {
     /// Cycles actually simulated (≤ scheduled round length).
     pub cycles_run: u32,
@@ -160,14 +175,18 @@ impl MiniCastResult {
 
     /// Mean radio-on time across non-failed nodes, in milliseconds.
     pub fn mean_radio_on_ms(&self) -> f64 {
-        let live: Vec<&NodeOutcome> = self.nodes.iter().filter(|n| !n.failed).collect();
-        if live.is_empty() {
-            return 0.0;
+        let (sum, live) = self
+            .nodes
+            .iter()
+            .filter(|n| !n.failed)
+            .fold((0.0, 0usize), |(sum, live), n| {
+                (sum + n.ledger.radio_on().as_millis_f64(), live + 1)
+            });
+        if live == 0 {
+            0.0
+        } else {
+            sum / live as f64
         }
-        live.iter()
-            .map(|n| n.ledger.radio_on().as_millis_f64())
-            .sum::<f64>()
-            / live.len() as f64
     }
 
     /// Maximum radio-on time across nodes.
@@ -177,6 +196,291 @@ impl MiniCastResult {
             .map(|n| n.ledger.radio_on())
             .max()
             .unwrap_or(SimDuration::ZERO)
+    }
+}
+
+/// `NeedSet::wanted_by` entry for a packet every node counts.
+const EVERY_NODE: u32 = u32::MAX;
+
+/// A compiled completion rule for [`MiniCastSchedule::run_needs`]: node
+/// `v` completes once it holds its quota of the packets flagged for it.
+///
+/// Each packet either counts for every node or for exactly one node, and
+/// only while it is flagged. The quota is either *all* flagged packets a
+/// node counts, or a fixed `k` of them. That covers the protocol's three
+/// rules:
+///
+/// * [`NeedSet::whole_chain`] — every node needs every packet (strict,
+///   all-to-all completion);
+/// * [`NeedSet::addressed`] — each packet has one destination that needs
+///   it, and a node needs all flagged packets addressed to it (a dark
+///   sub-slot is unflagged);
+/// * [`NeedSet::at_least`] — every node needs any `k` flagged packets
+///   (threshold reconstruction over the usable ones).
+///
+/// The packet-to-node map is static and built once per chain; only the
+/// flags change per round ([`NeedSet::set_flagged`]). During a run each
+/// reception costs one counter update.
+///
+/// # Example
+///
+/// ```
+/// use ppda_ct::{ChainSpec, MiniCastConfig, MiniCastSchedule, LinkConditions,
+///     MiniCastScratch, NeedSet};
+/// use ppda_radio::FrameSpec;
+/// use ppda_sim::Xoshiro256;
+/// use ppda_topology::Topology;
+///
+/// let topology = Topology::flocklab();
+/// let n = topology.len();
+/// let chain = ChainSpec::new(FrameSpec::new(8, 0).unwrap(), (0..n as u16).collect()).unwrap();
+/// let schedule = MiniCastSchedule::new(&topology, chain, MiniCastConfig::default());
+/// let conditions = LinkConditions::new(&topology, 0.0);
+/// // Every node needs any 5 packets, except those of nodes 0 and 1.
+/// let mut need = NeedSet::at_least(n, 5);
+/// let flags: Vec<bool> = (0..n).map(|j| j > 1).collect();
+/// need.set_flagged(&flags);
+/// let mut scratch = MiniCastScratch::default();
+/// let failed = vec![false; n];
+/// let r = schedule.run_needs(&conditions, &mut Xoshiro256::seed_from(1), &failed, &need, &mut scratch);
+/// assert!(r.all_complete());
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NeedSet {
+    /// Per packet: the one node that counts it, or [`EVERY_NODE`].
+    wanted_by: Vec<u32>,
+    /// Per packet: whether it counts this round.
+    flagged: Vec<bool>,
+    /// `Some(k)`: any `k` counted packets; `None`: all of them.
+    quota: Option<u32>,
+}
+
+impl NeedSet {
+    /// Every node needs every packet of a `len`-packet chain.
+    pub fn whole_chain(len: usize) -> Self {
+        NeedSet {
+            wanted_by: vec![EVERY_NODE; len],
+            flagged: vec![true; len],
+            quota: None,
+        }
+    }
+
+    /// Packet `j` is needed by node `wanted_by[j]` only; a node needs
+    /// every flagged packet addressed to it. All packets start flagged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node id is `u32::MAX` or larger.
+    pub fn addressed(wanted_by: impl IntoIterator<Item = usize>) -> Self {
+        let wanted_by: Vec<u32> = wanted_by
+            .into_iter()
+            .map(|v| {
+                u32::try_from(v)
+                    .ok()
+                    .filter(|&v| v != EVERY_NODE)
+                    .expect("node id fits a need set")
+            })
+            .collect();
+        let len = wanted_by.len();
+        NeedSet {
+            wanted_by,
+            flagged: vec![true; len],
+            quota: None,
+        }
+    }
+
+    /// Every node needs any `k` flagged packets of a `len`-packet chain.
+    /// All packets start flagged.
+    pub fn at_least(len: usize, k: usize) -> Self {
+        NeedSet {
+            wanted_by: vec![EVERY_NODE; len],
+            flagged: vec![true; len],
+            quota: Some(u32::try_from(k).unwrap_or(u32::MAX)),
+        }
+    }
+
+    /// Replace the per-packet flags: packet `j` counts iff `flags[j]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flags.len()` differs from the chain length.
+    pub fn set_flagged(&mut self, flags: &[bool]) {
+        self.flagged.copy_from_slice(flags);
+    }
+
+    /// Chain length the rule covers.
+    pub fn len(&self) -> usize {
+        self.wanted_by.len()
+    }
+
+    /// `true` for a rule over an empty chain.
+    pub fn is_empty(&self) -> bool {
+        self.wanted_by.is_empty()
+    }
+
+    /// Whether node `v` counts packet `j`.
+    #[inline]
+    fn counts(&self, v: usize, j: usize) -> bool {
+        self.flagged[j] && {
+            let w = self.wanted_by[j];
+            w == EVERY_NODE || w as usize == v
+        }
+    }
+
+    /// Per node of an `n`-node topology: how many counted packets it must
+    /// hold.
+    fn quotas_into(&self, n: usize, out: &mut Vec<u32>) {
+        out.clear();
+        if let Some(k) = self.quota {
+            out.resize(n, k);
+            return;
+        }
+        out.resize(n, 0);
+        let mut every = 0u32;
+        for (&w, _) in self.wanted_by.iter().zip(&self.flagged).filter(|(_, &f)| f) {
+            if w == EVERY_NODE {
+                every += 1;
+            } else {
+                assert!(
+                    (w as usize) < n,
+                    "need set addresses node {w} outside topology"
+                );
+                out[w as usize] += 1;
+            }
+        }
+        if every > 0 {
+            out.iter_mut().for_each(|q| *q += every);
+        }
+    }
+}
+
+/// Reusable engine state for [`MiniCastSchedule::run_needs`]. Holding one
+/// across rounds lets a round reuse the engine's buffers instead of
+/// reallocating them; one scratch serves any schedule and any topology
+/// size, one run at a time.
+#[derive(Debug, Clone, Default)]
+pub struct MiniCastScratch {
+    state: FloodState,
+    /// Per node: counted packets held, and the quota to reach.
+    held: Vec<u32>,
+    required: Vec<u32>,
+}
+
+/// The engine's per-run state. Node sets are word masks (see
+/// [`crate::engine`]).
+#[derive(Debug, Clone, Default)]
+struct FloodState {
+    /// Per packet: the nodes holding it (`l × words`).
+    holders: Vec<u64>,
+    /// Per (node, packet): fragment receipt bitmap (`n × l`); fragmented
+    /// chains only.
+    frag_have: Vec<u64>,
+    /// Node masks: radio on, joined the flood, heard any packet,
+    /// transmitting this cycle, transmitting this sub-slot.
+    on: Vec<u64>,
+    joined: Vec<u64>,
+    heard: Vec<u64>,
+    active: Vec<u64>,
+    tx: Vec<u64>,
+    /// Per node: packets held, chain transmissions, sub-slots spent
+    /// transmitting and idle-listening.
+    held: Vec<u32>,
+    tx_count: Vec<u32>,
+    tx_slots: Vec<u64>,
+    idle_slots: Vec<u64>,
+    /// Per node: reception time booked so far, completion and radio-off
+    /// instants.
+    ledgers: Vec<EnergyLedger>,
+    met_at: Vec<Option<SimTime>>,
+    off_at: Vec<Option<SimTime>>,
+}
+
+impl FloodState {
+    /// Clear every buffer for a run over `n` nodes and `l` packets.
+    fn reset(&mut self, n: usize, l: usize, words: usize, fragmented: bool) {
+        fn refill<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) {
+            buf.clear();
+            buf.resize(len, value);
+        }
+        refill(&mut self.holders, l * words, 0);
+        refill(&mut self.frag_have, if fragmented { n * l } else { 0 }, 0);
+        for mask in [
+            &mut self.on,
+            &mut self.joined,
+            &mut self.heard,
+            &mut self.active,
+            &mut self.tx,
+        ] {
+            refill(mask, words, 0);
+        }
+        refill(&mut self.held, n, 0);
+        refill(&mut self.tx_count, n, 0);
+        refill(&mut self.tx_slots, n, 0);
+        refill(&mut self.idle_slots, n, 0);
+        refill(&mut self.ledgers, n, EnergyLedger::new());
+        refill(&mut self.met_at, n, None);
+        refill(&mut self.off_at, n, None);
+    }
+}
+
+/// How the engine learns that a node's data needs are met.
+trait Completion {
+    /// Start a run over `n` nodes and `l` packets; nobody holds anything.
+    fn begin(&mut self, n: usize, l: usize);
+    /// Node `v` now holds packet `j`.
+    fn hold(&mut self, v: usize, j: usize);
+    /// Whether node `v`'s needs are met by what it holds.
+    fn met(&mut self, v: usize) -> bool;
+}
+
+/// [`NeedSet`] completion: one counter per node.
+struct Counted<'a> {
+    need: &'a NeedSet,
+    held: &'a mut Vec<u32>,
+    required: &'a mut Vec<u32>,
+}
+
+impl Completion for Counted<'_> {
+    fn begin(&mut self, n: usize, _l: usize) {
+        self.held.clear();
+        self.held.resize(n, 0);
+        self.need.quotas_into(n, self.required);
+    }
+
+    #[inline]
+    fn hold(&mut self, v: usize, j: usize) {
+        if self.need.counts(v, j) {
+            self.held[v] += 1;
+        }
+    }
+
+    #[inline]
+    fn met(&mut self, v: usize) -> bool {
+        self.held[v] >= self.required[v]
+    }
+}
+
+/// Closure completion for [`MiniCastSchedule::run_with`]: a row of
+/// `l` flags per node, handed to the predicate.
+struct Predicate<F> {
+    predicate: F,
+    have: Vec<bool>,
+    l: usize,
+}
+
+impl<F: Fn(usize, &[bool]) -> bool> Completion for Predicate<F> {
+    fn begin(&mut self, n: usize, l: usize) {
+        self.l = l;
+        self.have.clear();
+        self.have.resize(n * l, false);
+    }
+
+    fn hold(&mut self, v: usize, j: usize) {
+        self.have[v * self.l + j] = true;
+    }
+
+    fn met(&mut self, v: usize) -> bool {
+        (self.predicate)(v, &self.have[v * self.l..(v + 1) * self.l])
     }
 }
 
@@ -419,10 +723,13 @@ impl MiniCastSchedule {
     /// Run one round where completion means "received the whole chain"
     /// (the all-to-all use of MiniCast).
     pub fn run(&self, conditions: &LinkConditions, rng: &mut Xoshiro256) -> MiniCastResult {
-        let l = self.chain.len();
-        self.run_with(conditions, rng, &vec![false; self.n], |_, have| {
-            have.iter().filter(|&&h| h).count() == l
-        })
+        self.run_needs(
+            conditions,
+            rng,
+            &vec![false; self.n],
+            &NeedSet::whole_chain(self.chain.len()),
+            &mut MiniCastScratch::default(),
+        )
     }
 
     /// Run one round with failure injection and a custom per-node
@@ -432,6 +739,12 @@ impl MiniCastSchedule {
     /// `(node, received)` and decides when the node has all it needs; a
     /// node switches off once its predicate holds *and* it has transmitted
     /// the chain NTX times (its relay duty).
+    ///
+    /// This is an adapter over the engine behind
+    /// [`MiniCastSchedule::run_needs`]: it mirrors each node's packets
+    /// into a `&[bool]` row and asks the predicate again after each
+    /// packet a node receives, until it first holds. A [`NeedSet`]
+    /// expresses the protocol's completion rules in O(1) per reception.
     ///
     /// # Panics
     ///
@@ -444,10 +757,72 @@ impl MiniCastSchedule {
         failed: &[bool],
         predicate: impl Fn(usize, &[bool]) -> bool,
     ) -> MiniCastResult {
+        let mut done = Predicate {
+            predicate,
+            have: Vec::new(),
+            l: 0,
+        };
+        self.flood(
+            conditions,
+            rng,
+            failed,
+            &mut done,
+            &mut FloodState::default(),
+        )
+    }
+
+    /// Run one round with failure injection and a compiled completion
+    /// rule: node `v` completes once it holds the quota of packets `need`
+    /// flags for it (see [`NeedSet`]). The engine state lives in
+    /// `scratch`, so a holder that keeps one across rounds reuses its
+    /// buffers instead of reallocating them.
+    ///
+    /// Equivalent to [`MiniCastSchedule::run_with`] with the predicate
+    /// the need set describes: same RNG draws, same result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `failed.len()` or the conditions' node count differs from
+    /// the topology size, if `need` covers a different chain length, or
+    /// if it addresses a packet to a node outside the topology.
+    pub fn run_needs(
+        &self,
+        conditions: &LinkConditions,
+        rng: &mut Xoshiro256,
+        failed: &[bool],
+        need: &NeedSet,
+        scratch: &mut MiniCastScratch,
+    ) -> MiniCastResult {
+        assert_eq!(need.len(), self.chain.len(), "need set size mismatch");
+        let MiniCastScratch {
+            state,
+            held,
+            required,
+        } = scratch;
+        let mut done = Counted {
+            need,
+            held,
+            required,
+        };
+        self.flood(conditions, rng, failed, &mut done, state)
+    }
+
+    /// The slot engine behind both entry points.
+    fn flood(
+        &self,
+        conditions: &LinkConditions,
+        rng: &mut Xoshiro256,
+        failed: &[bool],
+        done: &mut impl Completion,
+        state: &mut FloodState,
+    ) -> MiniCastResult {
         let n = self.n;
         assert_eq!(conditions.len(), n, "link conditions size mismatch");
         assert_eq!(failed.len(), n, "failure mask size mismatch");
+        let links = &conditions.links;
+        let words = links.words();
         let l = self.chain.len();
+        let ntx = self.config.ntx;
         let slot = self.chain.slot_duration();
         let airtime = self.chain.frame().airtime();
         let cycle_dur = self.chain.cycle_duration();
@@ -455,8 +830,7 @@ impl MiniCastSchedule {
         // transmitter sends (and a receiver draws reception for) each
         // fragment individually, and a packet counts as received only when
         // every fragment arrived. `frags == 1` is the classic single-frame
-        // chain and takes the exact code path (and RNG draw sequence)
-        // below.
+        // chain: one draw per reception opportunity.
         let frags = self.chain.fragments();
         let frag_full: u64 = if frags as usize >= 64 {
             u64::MAX
@@ -465,27 +839,40 @@ impl MiniCastSchedule {
         };
         let tx_air = airtime * u64::from(frags);
 
-        // State.
-        let mut have = vec![vec![false; l]; n];
-        let mut rx_at: Vec<Vec<Option<SimTime>>> = vec![vec![None; l]; n];
-        // Per-(node, packet) fragment receipt bitmaps; only allocated and
-        // consulted on fragmented chains.
-        let mut frag_have: Vec<Vec<u64>> = if frags > 1 {
-            vec![vec![0u64; l]; n]
-        } else {
-            Vec::new()
-        };
-        for (j, &owner) in self.chain.owners().iter().enumerate() {
-            if !failed[owner as usize] {
-                have[owner as usize][j] = true;
-                rx_at[owner as usize][j] = Some(SimTime::ZERO);
-                if frags > 1 {
-                    frag_have[owner as usize][j] = frag_full;
-                }
-            }
+        state.reset(n, l, words, frags > 1);
+        done.begin(n, l);
+        let FloodState {
+            holders,
+            frag_have,
+            on,
+            joined,
+            heard,
+            active,
+            tx,
+            held,
+            tx_count,
+            tx_slots,
+            idle_slots,
+            ledgers,
+            met_at,
+            off_at,
+        } = state;
+
+        for v in (0..n).filter(|&v| !failed[v]) {
+            insert(on, v);
         }
-        let mut joined = vec![false; n];
-        let mut heard = vec![false; n];
+        for (j, &owner) in self.chain.owners().iter().enumerate() {
+            let o = owner as usize;
+            if failed[o] {
+                continue;
+            }
+            insert(&mut holders[j * words..(j + 1) * words], o);
+            held[o] += 1;
+            if frags > 1 {
+                frag_have[o * l + j] = frag_full;
+            }
+            done.hold(o, j);
+        }
         // If the designated initiator is dead, the deployment's failover
         // kicks in: the next most central live chain owner starts the
         // round (real CT stacks rotate initiators on sync silence).
@@ -495,145 +882,109 @@ impl MiniCastSchedule {
             Some(self.initiator)
         };
         if let Some(init) = initiator {
-            joined[init] = true;
+            insert(joined, init);
         }
-        let mut tx_count = vec![0u32; n];
-        let mut off: Vec<bool> = failed.to_vec();
-        let mut predicate_met_at: Vec<Option<SimTime>> = vec![None; n];
-        let mut radio_off_at: Vec<Option<SimTime>> = vec![None; n];
-        let mut ledgers = vec![EnergyLedger::new(); n];
-
-        // Initial predicate check (e.g. a node that owns everything it needs).
+        // Initial check (e.g. a node that owns everything it needs).
         for v in 0..n {
-            if !failed[v] && predicate(v, &have[v]) {
-                predicate_met_at[v] = Some(SimTime::ZERO);
+            if !failed[v] && done.met(v) {
+                met_at[v] = Some(SimTime::ZERO);
             }
         }
 
-        let mut is_tx_scratch = vec![false; n];
-        // Slot resolution runs in whichever direction touches fewer links:
-        // transmitter-major (one pass over the transmitter set accumulates
-        // every receiver's miss product; stamps make resets O(touched))
-        // when few nodes transmit — the join wave and the tail of a round —
-        // or receiver-major (`reception_prob` per listener) when the flood
-        // is dense and listeners are the minority. Both directions multiply
-        // link misses in ascending transmitter order, so the probabilities,
-        // the RNG draw sequence and the round outcomes are bit-identical
-        // (see `engine::tests::transmitter_major_accumulation_is_bit_identical`).
-        let mut tx_list: Vec<usize> = Vec::with_capacity(n);
-        let mut miss = vec![1.0f64; n];
-        let mut in_range = vec![0u32; n];
-        let mut slot_stamp = vec![u64::MAX; n];
-        let mut stamp = 0u64;
-        let mut active = vec![false; n];
-        let mut off_count = off.iter().filter(|&&o| o).count();
+        let mut on_count = failed.iter().filter(|&&f| !f).count();
         let mut cycles_run = 0u32;
-
         'round: for cycle in 0..self.round_cycles {
             cycles_run = cycle + 1;
             let cycle_start = SimTime::ZERO + cycle_dur * cycle as u64;
 
-            // Who transmits the chain during this cycle.
+            // Who transmits the chain during this cycle. Packet `j` is on
+            // the air only in sub-slot `j`, so an active node sends exactly
+            // the packets it held when the cycle began. Every powered node
+            // spends each sub-slot either transmitting or listening, so its
+            // radio time for the cycle is booked here in bulk; a reception
+            // below moves one sub-slot from idle listening to receiving.
+            active.fill(0);
             for v in 0..n {
-                active[v] = joined[v] && !off[v] && tx_count[v] < self.config.ntx;
+                if !has(on, v) {
+                    continue;
+                }
+                let sent = if has(joined, v) && tx_count[v] < ntx {
+                    insert(active, v);
+                    held[v]
+                } else {
+                    0
+                };
+                tx_slots[v] += u64::from(sent);
+                idle_slots[v] += (l - sent as usize) as u64;
             }
 
             for j in 0..l {
-                let slot_start = cycle_start + slot * j as u64;
+                let slot_end = cycle_start + slot * j as u64 + slot;
+                let hold = &mut holders[j * words..(j + 1) * words];
                 // Transmitter set: active nodes holding packet j.
-                tx_list.clear();
-                for v in 0..n {
-                    let tx = active[v] && have[v][j];
-                    is_tx_scratch[v] = tx;
-                    if tx {
-                        tx_list.push(v);
-                        ledgers[v].add_tx(tx_air);
-                        ledgers[v].add_listen(slot.saturating_sub(tx_air));
-                    }
+                let mut any_tx = false;
+                for ((t, &a), &h) in tx.iter_mut().zip(active.iter()).zip(hold.iter()) {
+                    *t = a & h;
+                    any_tx |= *t != 0;
                 }
-                let any_tx = !tx_list.is_empty();
-                let listeners = n - off_count - tx_list.len();
-                let tx_major = any_tx && tx_list.len() < listeners;
-                if tx_major {
-                    stamp = stamp.wrapping_add(1);
-                    for &u in &tx_list {
-                        for &(v, prr) in conditions.links.in_neighbors(u) {
-                            let v = v as usize;
-                            if slot_stamp[v] != stamp {
-                                slot_stamp[v] = stamp;
-                                miss[v] = 1.0;
-                                in_range[v] = 0;
-                            }
-                            miss[v] *= 1.0 - prr;
-                            in_range[v] += 1;
+                if !any_tx {
+                    continue;
+                }
+                // Listeners: powered nodes not transmitting.
+                for w in 0..words {
+                    let mut listeners = on[w] & !tx[w];
+                    while listeners != 0 {
+                        let v = w * 64 + listeners.trailing_zeros() as usize;
+                        listeners &= listeners - 1;
+                        let p = links.reception(v, tx);
+                        if p <= 0.0 {
+                            continue;
                         }
-                    }
-                }
-                // Receivers.
-                for v in 0..n {
-                    if off[v] || is_tx_scratch[v] {
-                        continue;
-                    }
-                    if any_tx {
-                        let p = if !tx_major {
-                            conditions.links.reception_prob(v, &is_tx_scratch)
-                        } else if slot_stamp[v] == stamp {
-                            LinkTable::combine(miss[v], in_range[v])
-                        } else {
-                            0.0
-                        };
-                        if !have[v][j] {
-                            if frags == 1 {
-                                if p > 0.0 && rng.chance(p) {
-                                    have[v][j] = true;
-                                    rx_at[v][j] = Some(slot_start + slot);
-                                    heard[v] = true;
-                                    ledgers[v].add_rx(airtime);
-                                    ledgers[v].add_listen(slot.saturating_sub(airtime));
-                                    if predicate_met_at[v].is_none() && predicate(v, &have[v]) {
-                                        predicate_met_at[v] = Some(slot_start + slot);
-                                    }
-                                    continue;
-                                }
-                            } else if p > 0.0 {
-                                // Fragmented packet: each still-missing
-                                // fragment is an independent reception
-                                // opportunity this sub-slot (transmitters
-                                // hold complete packets, so every fragment
-                                // is on the air). The packet completes only
-                                // once the receipt bitmap fills — losing
-                                // one fragment forfeits the whole packet
-                                // for this sub-slot, never splices.
-                                let mut new_rx = 0u64;
-                                for f in 0..frags {
-                                    let bit = 1u64 << f;
-                                    if frag_have[v][j] & bit == 0 && rng.chance(p) {
-                                        frag_have[v][j] |= bit;
-                                        new_rx += 1;
-                                    }
-                                }
-                                if new_rx > 0 {
-                                    heard[v] = true;
-                                    ledgers[v].add_rx(airtime * new_rx);
-                                    ledgers[v].add_listen(slot.saturating_sub(airtime * new_rx));
-                                    if frag_have[v][j] == frag_full {
-                                        have[v][j] = true;
-                                        rx_at[v][j] = Some(slot_start + slot);
-                                        if predicate_met_at[v].is_none() && predicate(v, &have[v]) {
-                                            predicate_met_at[v] = Some(slot_start + slot);
-                                        }
-                                    }
-                                    continue;
-                                }
-                            }
-                        } else {
+                        if has(hold, v) {
                             // Overhearing a known packet still synchronizes.
-                            if p > 0.0 && rng.chance(p) {
-                                heard[v] = true;
+                            if rng.chance(p) {
+                                insert(heard, v);
+                            }
+                            continue;
+                        }
+                        let new_rx = if frags == 1 {
+                            u64::from(rng.chance(p))
+                        } else {
+                            // Fragmented packet: each still-missing
+                            // fragment is an independent reception
+                            // opportunity this sub-slot (transmitters hold
+                            // complete packets, so every fragment is on the
+                            // air). The packet completes only once the
+                            // receipt bitmap fills — losing one fragment
+                            // forfeits the whole packet for this sub-slot,
+                            // never splices.
+                            let got = &mut frag_have[v * l + j];
+                            let mut new_rx = 0u64;
+                            for f in 0..frags {
+                                let bit = 1u64 << f;
+                                if *got & bit == 0 && rng.chance(p) {
+                                    *got |= bit;
+                                    new_rx += 1;
+                                }
+                            }
+                            new_rx
+                        };
+                        if new_rx == 0 {
+                            continue;
+                        }
+                        insert(heard, v);
+                        ledgers[v].add_rx(airtime * new_rx);
+                        ledgers[v].add_listen(slot.saturating_sub(airtime * new_rx));
+                        idle_slots[v] -= 1;
+                        if frags == 1 || frag_have[v * l + j] == frag_full {
+                            insert(hold, v);
+                            held[v] += 1;
+                            done.hold(v, j);
+                            if met_at[v].is_none() && done.met(v) {
+                                met_at[v] = Some(slot_end);
                             }
                         }
                     }
-                    ledgers[v].add_listen(slot);
                 }
             }
 
@@ -641,36 +992,40 @@ impl MiniCastSchedule {
             // switch off finished nodes.
             let cycle_end = cycle_start + cycle_dur;
             for v in 0..n {
-                if active[v] {
+                if has(active, v) {
                     tx_count[v] += 1;
                 }
-                if !joined[v] && heard[v] && !off[v] {
-                    joined[v] = true;
+                if !has(on, v) {
+                    continue;
                 }
-                if self.config.early_radio_off
-                    && !off[v]
-                    && tx_count[v] >= self.config.ntx
-                    && predicate_met_at[v].is_some()
-                {
-                    off[v] = true;
-                    off_count += 1;
-                    radio_off_at[v] = Some(cycle_end);
+                if has(heard, v) {
+                    insert(joined, v);
+                }
+                if self.config.early_radio_off && tx_count[v] >= ntx && met_at[v].is_some() {
+                    remove(on, v);
+                    on_count -= 1;
+                    off_at[v] = Some(cycle_end);
                 }
             }
-            if off_count == n {
+            if on_count == 0 {
                 break 'round;
             }
         }
 
         let nodes = (0..n)
-            .map(|v| NodeOutcome {
-                received: std::mem::take(&mut have[v]),
-                rx_at: std::mem::take(&mut rx_at[v]),
-                predicate_met_at: predicate_met_at[v],
-                radio_off_at: radio_off_at[v],
-                ledger: ledgers[v],
-                chain_tx: tx_count[v],
-                failed: failed[v],
+            .map(|v| {
+                let mut ledger = ledgers[v];
+                ledger.add_tx(tx_air * tx_slots[v]);
+                ledger.add_listen(slot.saturating_sub(tx_air) * tx_slots[v]);
+                ledger.add_listen(slot * idle_slots[v]);
+                NodeOutcome {
+                    received: holders.chunks_exact(words).map(|h| has(h, v)).collect(),
+                    predicate_met_at: met_at[v],
+                    radio_off_at: off_at[v],
+                    ledger,
+                    chain_tx: tx_count[v],
+                    failed: failed[v],
+                }
             })
             .collect();
 
@@ -1105,13 +1460,11 @@ mod tests {
         for &(db, loss) in &[(0.0, 0.0), (3.5, 0.0), (0.0, 0.0), (0.0, 0.2), (0.0, 0.0)] {
             let fresh = LinkConditions::degraded(&t, db, loss);
             let cached = cache.get(&t, db, loss);
-            for u in 0..t.len() {
-                assert_eq!(
-                    cached.links.in_neighbors(u),
-                    fresh.links.in_neighbors(u),
-                    "cached table must be bit-identical at ({db}, {loss})"
-                );
-            }
+            assert_eq!(
+                cached.links.fingerprint(),
+                fresh.links.fingerprint(),
+                "cached table must be bit-identical at ({db}, {loss})"
+            );
         }
         assert_eq!(cache.builds(), 3, "three distinct operating points");
         assert_eq!(cache.hits(), 2, "both calm repeats hit");
@@ -1126,9 +1479,7 @@ mod tests {
         let plain = LinkConditions::new(&t, 2.25);
         let mut cache = LinkConditionsCache::new();
         let cached = cache.get(&t, 2.25, 0.0);
-        for u in 0..t.len() {
-            assert_eq!(cached.links.in_neighbors(u), plain.links.in_neighbors(u));
-        }
+        assert_eq!(cached.links.fingerprint(), plain.links.fingerprint());
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! A campaign of thousands of rounds must not buffer every round's full
 //! outcome structure until the end: [`CampaignAccumulator`] folds each
-//! round into counters and two flat per-node sample buffers (latency,
-//! radio-on) the moment it completes, so memory is a few scalars per
-//! *observation* instead of whole outcome graphs per *iteration*. The
-//! sample buffers still grow with `iterations × nodes` (16 bytes per live
-//! node-round) — the price of **exact** p95/p99 summaries; swap them for a
-//! quantile sketch if campaigns ever reach the 10⁸-round scale where that
-//! matters.
+//! round into counters and two per-node sample logs (latency, radio-on)
+//! the moment it completes, so memory is a few scalars per *observation*
+//! instead of whole outcome graphs per *iteration*. The logs still grow
+//! with `iterations × nodes` — the price of **exact** p95/p99 summaries —
+//! but store a 16-bit code per sample while the values repeat (simulated
+//! times on a slot grid do), so a live node-round costs 4 bytes, not 16.
+//! Swap them for a quantile sketch if campaigns ever reach the 10⁸-round
+//! scale where that matters.
 //!
 //! Worker threads each fold their own accumulator and [`merge`] them at
 //! join time; all derived statistics are order-independent (counters are
@@ -19,6 +20,7 @@
 
 use ppda_mpc::{RoundObserver, RoundReport};
 
+use crate::samples::SampleLog;
 use crate::summary::Summary;
 
 /// Folds per-round, per-node campaign observations into summary state.
@@ -37,8 +39,8 @@ use crate::summary::Summary;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CampaignAccumulator {
-    pub(crate) latencies: Vec<f64>,
-    pub(crate) radios: Vec<f64>,
+    pub(crate) latencies: SampleLog,
+    pub(crate) radios: SampleLog,
     pub(crate) node_ok: u64,
     pub(crate) node_total: u64,
     pub(crate) round_ok: u64,
@@ -106,8 +108,8 @@ impl CampaignAccumulator {
     /// `other` in without consuming it. Live snapshots use this to merge
     /// worker shards that keep accumulating afterwards.
     pub fn absorb(&mut self, other: &CampaignAccumulator) {
-        self.latencies.extend_from_slice(&other.latencies);
-        self.radios.extend_from_slice(&other.radios);
+        self.latencies.extend_from(&other.latencies);
+        self.radios.extend_from(&other.radios);
         self.node_ok += other.node_ok;
         self.node_total += other.node_total;
         self.round_ok += other.round_ok;
@@ -188,12 +190,12 @@ impl CampaignAccumulator {
 
     /// Summary of per-node completion latencies (nodes that finished).
     pub fn latency(&self) -> Summary {
-        Summary::of(&self.latencies)
+        Summary::of(&self.latencies.to_vec())
     }
 
     /// Summary of per-node radio-on times.
     pub fn radio_on(&self) -> Summary {
-        Summary::of(&self.radios)
+        Summary::of(&self.radios.to_vec())
     }
 }
 

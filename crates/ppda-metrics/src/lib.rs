@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 
 mod campaign;
+mod samples;
 #[cfg(feature = "serde")]
 mod serde_impl;
 mod summary;

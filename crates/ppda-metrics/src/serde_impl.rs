@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 
+use crate::samples::SampleLog;
 use crate::CampaignAccumulator;
 
 const FORMAT_VERSION: u8 = 1;
@@ -17,11 +18,9 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+fn put_f64s(out: &mut Vec<u8>, values: &SampleLog) {
     put_u64(out, values.len() as u64);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    values.for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
 }
 
 struct Reader<'a> {
@@ -118,9 +117,9 @@ impl CampaignAccumulator {
         let hist_len = r.len()?;
         let margin_hist = r.u64s(hist_len)?;
         let lat_len = r.len()?;
-        let latencies = r.f64s(lat_len)?;
+        let latencies = SampleLog::from(r.f64s(lat_len)?);
         let radio_len = r.len()?;
-        let radios = r.f64s(radio_len)?;
+        let radios = SampleLog::from(r.f64s(radio_len)?);
         if !r.bytes.is_empty() {
             return Err("trailing bytes after campaign accumulator blob".to_owned());
         }

@@ -16,7 +16,7 @@
 use std::io::Write as _;
 
 use ppda_crypto::{Aes128, CtrDrbg};
-use ppda_ct::{Delivery, FaultPlan, LinkConditionsCache, MiniCastResult};
+use ppda_ct::{Delivery, FaultPlan, LinkConditionsCache, MiniCastResult, MiniCastScratch, NeedSet};
 use ppda_integrity::{IntegrityVerdict, ShareCommitment, SumAudit, TamperAction, TamperPlan};
 use ppda_radio::{Fragmenter, Reassembler};
 use ppda_sim::{derive_stream, SimDuration, SimTime, Xoshiro256};
@@ -207,6 +207,42 @@ struct RoundScratch {
     recon_out: Vec<Elem>,
     /// Destination indices a node holds, grouped during aggregation.
     held: Vec<usize>,
+    /// MiniCast engine state, reused by both floods of every round.
+    flood: MiniCastScratch,
+    /// Compiled completion rules of the two floods (see [`sharing_need`]
+    /// and [`recon_need`]); rounds only refresh their flags.
+    sharing_need: NeedSet,
+    recon_need: NeedSet,
+}
+
+/// The sharing flood's completion rule. Strict plans wait for the whole
+/// chain: the static schedule has no notion of node liveness, so a dead
+/// source's sub-slots stall completion — exactly the rigidity the paper's
+/// S4 removes. Otherwise an aggregator needs exactly the live packets
+/// addressed to it (the plan's per-destination slot index), and a pure
+/// relay has no data needs of its own.
+fn sharing_need(plan: &RoundPlan<'_>) -> NeedSet {
+    if plan.variant.strict_completion {
+        return NeedSet::whole_chain(plan.slots.len());
+    }
+    let mut wanted_by = vec![0usize; plan.slots.len()];
+    for (di, &d) in plan.destinations.iter().enumerate() {
+        for &j in &plan.slots_by_dest[plan.dest_slot_offsets[di]..plan.dest_slot_offsets[di + 1]] {
+            wanted_by[j] = d as usize;
+        }
+    }
+    NeedSet::addressed(wanted_by)
+}
+
+/// The reconstruction flood's completion rule: the whole chain for strict
+/// plans, otherwise any `threshold` usable sum shares.
+fn recon_need(plan: &RoundPlan<'_>) -> NeedSet {
+    let n_dests = plan.destinations.len();
+    if plan.variant.strict_completion {
+        NeedSet::whole_chain(n_dests)
+    } else {
+        NeedSet::at_least(n_dests, plan.threshold)
+    }
 }
 
 /// The inputs of one round: its coordinates, the readings (lane-major
@@ -285,12 +321,16 @@ impl ExecState {
                 recon_slab: Vec::with_capacity(plan.threshold * lanes),
                 recon_out: Vec::with_capacity(lanes),
                 held: Vec::with_capacity(n_dests),
+                flood: MiniCastScratch::default(),
+                sharing_need: sharing_need(plan),
+                recon_need: recon_need(plan),
             },
         }
     }
 
     /// Re-fit the destination-scoped buffers after a plan patch changed
-    /// the destination set (slot count, sum slabs, weight-cache basis).
+    /// the destination set (slot count, sum slabs, weight-cache basis,
+    /// flood completion rules).
     /// Buffers keyed on sources or lanes are untouched — those axes never
     /// churn.
     pub(crate) fn sync(&mut self, plan: &RoundPlan<'_>) {
@@ -303,6 +343,8 @@ impl ExecState {
         self.scratch.sum_mask.resize(n_dests, 0);
         self.scratch.sum_live.resize(n_dests, false);
         self.scratch.usable.resize(n_dests, false);
+        self.scratch.sharing_need = sharing_need(plan);
+        self.scratch.recon_need = recon_need(plan);
         self.weight_cache = plan.survivor_weight_cache();
     }
 
@@ -464,37 +506,20 @@ impl ExecState {
             }
         }
 
-        // Predicate: which sub-slots a node must hold before its sharing
-        // duty is complete.
-        let sharing_result = {
-            let slot_live = &scratch.slot_live;
-            let is_destination = &plan.is_destination;
-            let dest_index = &plan.dest_index;
-            let slots_by_dest = &plan.slots_by_dest;
-            let offsets = &plan.dest_slot_offsets;
-            let strict = plan.variant.strict_completion;
-            let mut rng = Xoshiro256::seed_from(derive_stream(seed, 0x5A1));
-            plan.sharing_schedule
-                .run_with(conditions, &mut rng, failed, |v, have| {
-                    if strict {
-                        // Naive: wait for the complete chain. The static
-                        // schedule has no notion of node liveness, so a dead
-                        // source's sub-slots stall the predicate — exactly
-                        // the rigidity the paper's S4 removes.
-                        have.iter().all(|&h| h)
-                    } else if is_destination[v] {
-                        // Aggregator: needs exactly the packets addressed
-                        // to it (the plan's per-destination slot index).
-                        let di = dest_index[v];
-                        slots_by_dest[offsets[di]..offsets[di + 1]]
-                            .iter()
-                            .all(|&j| !slot_live[j] || have[j])
-                    } else {
-                        // Pure relay: no data needs of its own.
-                        true
-                    }
-                })
-        };
+        // Which sub-slots a node must hold before its sharing duty is
+        // complete: the compiled rule, restricted to this round's live
+        // sub-slots.
+        let strict = plan.variant.strict_completion;
+        if !strict {
+            scratch.sharing_need.set_flagged(&scratch.slot_live);
+        }
+        let sharing_result = plan.sharing_schedule.run_needs(
+            conditions,
+            &mut Xoshiro256::seed_from(derive_stream(seed, 0x5A1)),
+            failed,
+            &scratch.sharing_need,
+            &mut scratch.flood,
+        );
 
         // ---- Local sum accumulation ---------------------------------------
         let share_frags = plan.sharing_schedule.chain().fragments();
@@ -691,23 +716,19 @@ impl ExecState {
             .map(|(_, &d)| d)
             .collect();
         let threshold = plan.threshold;
-        let recon_result = {
-            let strict = plan.variant.strict_completion;
-            let usable = &scratch.usable;
-            let mut rng = Xoshiro256::seed_from(derive_stream(seed, 0x5A2));
-            plan.recon_schedule
-                .run_with(conditions, &mut rng, failed, move |_, have| {
-                    if strict {
-                        have.iter().all(|&h| h)
-                    } else {
-                        have.iter().zip(usable).filter(|&(&h, &u)| h && u).count() >= threshold
-                    }
-                })
-        };
+        if !strict {
+            scratch.recon_need.set_flagged(&scratch.usable);
+        }
+        let recon_result = plan.recon_schedule.run_needs(
+            conditions,
+            &mut Xoshiro256::seed_from(derive_stream(seed, 0x5A2)),
+            failed,
+            &scratch.recon_need,
+            &mut scratch.flood,
+        );
 
         // ---- Per-node aggregation -------------------------------------------
         let sharing_sched = sharing_result.scheduled_duration();
-        let strict = plan.variant.strict_completion;
         let live_source_count = live_source_mask.count_ones() as usize;
         let mut live_nodes = 0usize;
         let mut nodes_recovered = 0usize;

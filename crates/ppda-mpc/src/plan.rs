@@ -167,11 +167,6 @@ pub struct RoundPlan<'t> {
     pub(crate) destinations: Vec<u16>,
     /// `share_x(destinations[i])`, precomputed.
     pub(crate) dest_xs: Vec<Elem>,
-    /// Per node: is it a share destination?
-    pub(crate) is_destination: Vec<bool>,
-    /// Per node: its index in `destinations` (unused entries are 0; check
-    /// `is_destination` first).
-    pub(crate) dest_index: Vec<usize>,
     /// Slot indices addressed to each destination, concatenated;
     /// destination `di`'s slots are
     /// `slots_by_dest[dest_slot_offsets[di]..dest_slot_offsets[di + 1]]`.
@@ -294,7 +289,7 @@ impl<'t> RoundPlan<'t> {
         if destinations.is_empty() {
             return Err(MpcError::MembershipExhausted);
         }
-        let tables = build_dest_tables(&destinations, n);
+        let dest_xs = build_dest_xs(&destinations);
         let layout = build_slot_layout(&config, &destinations);
         let slot_ccm: Vec<Ccm> = layout
             .slots
@@ -334,7 +329,7 @@ impl<'t> RoundPlan<'t> {
         )?;
 
         let threshold = config.degree + 1;
-        let recon_weights = build_recon_weights(&tables.dest_xs, threshold)?;
+        let recon_weights = build_recon_weights(&dest_xs, threshold)?;
 
         Ok(RoundPlan {
             topology,
@@ -344,9 +339,7 @@ impl<'t> RoundPlan<'t> {
             bootstrap,
             membership,
             destinations,
-            dest_xs: tables.dest_xs,
-            is_destination: tables.is_destination,
-            dest_index: tables.dest_index,
+            dest_xs,
             slots_by_dest: layout.slots_by_dest,
             dest_slot_offsets: layout.dest_slot_offsets,
             slots: layout.slots,
@@ -433,7 +426,7 @@ impl<'t> RoundPlan<'t> {
 
         // Rebuild the destination-scoped slices into locals first; the
         // plan mutates only once everything has succeeded.
-        let tables = build_dest_tables(&destinations, n);
+        let dest_xs = build_dest_xs(&destinations);
         let layout = build_slot_layout(&self.config, &destinations);
         patch.slots_rebuilt = layout.slots.len() as u32;
         let pool: HashMap<(u16, u16), &Ccm> = self
@@ -466,13 +459,11 @@ impl<'t> RoundPlan<'t> {
             &destinations,
             self.ntx_reconstruction,
         )?;
-        let recon_weights = build_recon_weights(&tables.dest_xs, self.threshold)?;
+        let recon_weights = build_recon_weights(&dest_xs, self.threshold)?;
 
         self.membership = Some(live);
         self.destinations = destinations;
-        self.dest_xs = tables.dest_xs;
-        self.is_destination = tables.is_destination;
-        self.dest_index = tables.dest_index;
+        self.dest_xs = dest_xs;
         self.slots_by_dest = layout.slots_by_dest;
         self.dest_slot_offsets = layout.dest_slot_offsets;
         self.slots = layout.slots;
@@ -494,8 +485,6 @@ impl<'t> RoundPlan<'t> {
             membership: self.membership,
             destinations: self.destinations,
             dest_xs: self.dest_xs,
-            is_destination: self.is_destination,
-            dest_index: self.dest_index,
             slots_by_dest: self.slots_by_dest,
             dest_slot_offsets: self.dest_slot_offsets,
             slots: self.slots,
@@ -591,28 +580,12 @@ fn elect_destinations(
     }
 }
 
-struct DestTables {
-    dest_xs: Vec<Elem>,
-    is_destination: Vec<bool>,
-    dest_index: Vec<usize>,
-}
-
-fn build_dest_tables(destinations: &[u16], n: usize) -> DestTables {
-    let dest_xs: Vec<Elem> = destinations
+/// `share_x(d)` for every destination `d`, in destination order.
+fn build_dest_xs(destinations: &[u16]) -> Vec<Elem> {
+    destinations
         .iter()
         .map(|&d| share_x::<Field>(d as usize))
-        .collect();
-    let mut is_destination = vec![false; n];
-    let mut dest_index = vec![0usize; n];
-    for (di, &d) in destinations.iter().enumerate() {
-        is_destination[d as usize] = true;
-        dest_index[d as usize] = di;
-    }
-    DestTables {
-        dest_xs,
-        is_destination,
-        dest_index,
-    }
+        .collect()
 }
 
 struct SlotLayout {

@@ -3,9 +3,9 @@
 //!
 //! The `campaign_throughput` binary reports the same metric over whole
 //! campaigns (with thread fan-out); this bench isolates the single-round
-//! cost the batching work targets: per-round crypto (T-table AES, cached
-//! CCM contexts, one seal per (source, destination) carrying all B lanes)
-//! plus the MiniCast transport simulation.
+//! cost the batching work targets: per-round crypto (AES on the host's
+//! backend, cached CCM contexts, one seal per (source, destination)
+//! carrying all B lanes) plus the MiniCast transport simulation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -96,7 +96,9 @@ fn bench_packed(c: &mut Criterion) {
 }
 
 fn bench_aes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("aes");
+    // The backend is chosen at runtime (AES-NI where the CPU has it); the
+    // group name records which one this host ran.
+    let mut group = c.benchmark_group(format!("aes[{}]", ppda_crypto::aes_backend_name()));
     let aes = Aes128::new(&[7u8; 16]);
     let block = [0x42u8; 16];
     group.bench_function("key_schedule", |bench| {
@@ -104,6 +106,13 @@ fn bench_aes(c: &mut Criterion) {
     });
     group.bench_function("encrypt_block", |bench| {
         bench.iter(|| aes.encrypt_block(black_box(&block)))
+    });
+    group.bench_function("encrypt_block_portable", |bench| {
+        bench.iter(|| aes.encrypt_block_portable(black_box(&block)))
+    });
+    let mut blocks = [block; 32];
+    group.bench_function("encrypt_blocks/32", |bench| {
+        bench.iter(|| aes.encrypt_blocks(black_box(&mut blocks)))
     });
     group.bench_function("encrypt_block_reference", |bench| {
         bench.iter(|| aes.encrypt_block_reference(black_box(&block)))

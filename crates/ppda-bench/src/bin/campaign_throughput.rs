@@ -61,6 +61,7 @@ fn main() {
     let json_path = arg_value(&args, "--json");
     let faults = FaultPlan::lossy(fault_seed, loss).with_dropout(dropout);
     let backend = ppda_field::packed::backend_name::<ppda_mpc::Field>();
+    let aes_backend = ppda_crypto::aes_backend_name();
     let mut json_rows: Vec<String> = Vec::new();
 
     let setups: Vec<TestbedSetup> = match testbed.as_str() {
@@ -82,8 +83,8 @@ fn main() {
             None => setup.source_sweep.clone(),
         };
         println!(
-            "\n=== {} — campaign throughput ({} iterations, batch {}, loss {:.2}, dropout {:.2}, backend {}) ===",
-            setup.name, iterations, batch, loss, dropout, backend
+            "\n=== {} — campaign throughput ({} iterations, batch {}, loss {:.2}, dropout {:.2}, backend {}, aes {}) ===",
+            setup.name, iterations, batch, loss, dropout, backend, aes_backend
         );
         let mut table = Table::new(vec![
             "protocol",
@@ -151,6 +152,7 @@ fn main() {
                 "{{\n",
                 "  \"bench\": \"campaign_throughput\",\n",
                 "  \"backend\": \"{}\",\n",
+                "  \"aes_backend\": \"{}\",\n",
                 "  \"batch\": {},\n",
                 "  \"iterations\": {},\n",
                 "  \"seed\": {},\n",
@@ -161,6 +163,7 @@ fn main() {
                 "}}\n"
             ),
             backend,
+            aes_backend,
             batch,
             iterations,
             seed,

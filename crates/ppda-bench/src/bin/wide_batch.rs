@@ -55,6 +55,7 @@ fn main() {
             .unwrap_or_else(|| panic!("unknown testbed {name} (flocklab|dcube)"))],
     };
     let backend = ppda_field::packed::backend_name::<ppda_mpc::Field>();
+    let aes_backend = ppda_crypto::aes_backend_name();
 
     let mut table = Table::new(vec![
         "testbed",
@@ -120,7 +121,9 @@ fn main() {
             }
         }
     }
-    println!("\n=== wide batch — values/sec and on-air cost vs lane width ({backend}) ===");
+    println!(
+        "\n=== wide batch — values/sec and on-air cost vs lane width (field {backend}, aes {aes_backend}) ==="
+    );
     print!("{table}");
 
     if let Some(path) = json_path {
@@ -129,11 +132,13 @@ fn main() {
                 "{{\n",
                 "  \"bench\": \"wide_batch\",\n",
                 "  \"backend\": \"{}\",\n",
+                "  \"aes_backend\": \"{}\",\n",
                 "  \"iterations\": {},\n",
                 "  \"rows\": [\n{}\n  ]\n",
                 "}}\n"
             ),
             backend,
+            aes_backend,
             iterations,
             json_rows.join(",\n")
         );

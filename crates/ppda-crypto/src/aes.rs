@@ -1,15 +1,41 @@
 //! AES-128 block cipher (FIPS-197).
 //!
-//! Two encryption paths share one key schedule:
+//! One key schedule, three encryption paths that produce the same bytes:
 //!
-//! * [`Aes128::encrypt_block`] — the hot path: a word-oriented T-table
-//!   round function (SubBytes, ShiftRows and MixColumns folded into one
-//!   256-entry table, built at compile time). Every CCM seal/open and every
-//!   DRBG output block in a simulated round goes through it, so it *is* a
-//!   campaign bottleneck at scale.
-//! * [`Aes128::encrypt_block_reference`] — the original byte-oriented
-//!   implementation (S-box lookups plus `xtime` doubling), kept as the
-//!   auditable test oracle the table path is checked against.
+//! * **AES-NI** — on x86 / x86-64 hosts whose CPU reports the `aes`
+//!   feature, [`Aes128::encrypt_block`] and [`Aes128::encrypt_blocks`] run
+//!   the hardware round instructions (`AESENC` / `AESENCLAST`) over the
+//!   FIPS byte round keys. [`Aes128::encrypt_blocks`] keeps four
+//!   independent blocks in flight, which hides the instruction latency on
+//!   CTR keystream runs (the CCM payload, DRBG output).
+//! * **Portable** — [`Aes128::encrypt_block_portable`], a word-oriented
+//!   T-table round function (SubBytes, ShiftRows and MixColumns folded into
+//!   one 256-entry table, built at compile time). Non-x86 targets and x86
+//!   hosts without AES-NI run it, and it is the oracle the hardware path is
+//!   checked against.
+//! * **Reference** — [`Aes128::encrypt_block_reference`], the byte-oriented
+//!   transcription of the standard (S-box lookups plus `xtime` doubling),
+//!   kept as the auditable oracle for the other two.
+//!
+//! The path is chosen once per key schedule: [`Aes128::new`] probes the CPU
+//! (`is_x86_feature_detected!`, a cached load after the first call) and
+//! stores the answer in the cipher, so every later block costs one
+//! predictable branch. Every caller — CCM, CBC-MAC, CTR, the DRBG, key
+//! derivation, the integrity transcript — gets the hardware path without a
+//! code change. Known-answer tests run through both backends and the
+//! property suite checks all three paths against each other, so the host's
+//! backend never shows in a golden, a replay or a seed-determined metric;
+//! [`aes_backend_name`] reports which one a host runs, for benchmark
+//! records.
+//!
+//! Decryption ([`Aes128::decrypt_block`]) stays portable: CTR and CCM only
+//! ever encrypt, so no round path decrypts, and a hardware inverse cipher
+//! would need a second (InvMixColumns-transformed) key schedule.
+//!
+//! The crate denies `unsafe_code`; the private `ni` module alone allows it,
+//! for the intrinsics, and carries a SAFETY argument on every block. A
+//! hardware call is only reachable through an `AesNi` token, which only
+//! exists once the CPU has reported the feature.
 
 /// AES block length in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -111,10 +137,22 @@ fn t0(b: u32) -> u32 {
     T0[(b & 0xff) as usize]
 }
 
+/// State column `c` of a block or round key as a little-endian word.
+#[inline(always)]
+fn column(block: &Block, c: usize) -> u32 {
+    u32::from_le_bytes([
+        block[4 * c],
+        block[4 * c + 1],
+        block[4 * c + 2],
+        block[4 * c + 3],
+    ])
+}
+
 /// AES-128 with a precomputed key schedule.
 ///
 /// The state layout follows FIPS-197: byte `i` of a block maps to state row
-/// `i % 4`, column `i / 4`.
+/// `i % 4`, column `i / 4`. The encryption backend (AES-NI or the portable
+/// T-table) is chosen once, in [`Aes128::new`]; see the module docs.
 ///
 /// # Example
 ///
@@ -125,10 +163,13 @@ fn t0(b: u32) -> u32 {
 /// assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
 /// ```
 #[derive(Clone)]
+// Round keys first and 16-byte aligned: no round-key load, 4-byte (T-table)
+// or 16-byte (AES-NI), straddles a cache line.
+#[repr(C, align(16))]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
-    /// The same schedule as little-endian column words, for the T-table path.
-    round_key_words: [[u32; 4]; 11],
+    round_keys: [Block; 11],
+    /// Set by [`Aes128::new`] when the CPU has AES-NI; selects the path.
+    ni: Option<ni::AesNi>,
 }
 
 impl core::fmt::Debug for Aes128 {
@@ -139,36 +180,26 @@ impl core::fmt::Debug for Aes128 {
 }
 
 impl Aes128 {
-    /// Expand `key` into the 11 round keys.
+    /// Expand `key` into the 11 round keys and select the encryption
+    /// backend for this host.
     pub fn new(key: &Key) -> Self {
-        let mut w = [[0u8; 4]; 44];
-        for i in 0..4 {
-            w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
-        }
-        for i in 4..44 {
-            let mut temp = w[i - 1];
-            if i % 4 == 0 {
-                temp.rotate_left(1);
-                for byte in &mut temp {
-                    *byte = SBOX[*byte as usize];
-                }
-                temp[0] ^= RCON[i / 4 - 1];
-            }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
-        }
-        let mut round_keys = [[0u8; 16]; 11];
-        let mut round_key_words = [[0u32; 4]; 11];
-        for (round, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * round + c]);
-                round_key_words[round][c] = u32::from_le_bytes(w[4 * round + c]);
+        // FIPS-197 §5.2 on little-endian column words: RotWord is a right
+        // rotation by one byte and Rcon lands in the low byte.
+        let mut round_keys = [*key; 11];
+        let mut w = [0, 1, 2, 3].map(|c| column(key, c));
+        for (rk, rcon) in round_keys[1..].iter_mut().zip(RCON) {
+            let rot = w[3].rotate_right(8).to_le_bytes();
+            w[0] ^= u32::from_le_bytes(rot.map(|b| SBOX[b as usize])) ^ rcon as u32;
+            w[1] ^= w[0];
+            w[2] ^= w[1];
+            w[3] ^= w[2];
+            for (c, word) in w.iter().enumerate() {
+                rk[4 * c..4 * c + 4].copy_from_slice(&word.to_le_bytes());
             }
         }
         Aes128 {
             round_keys,
-            round_key_words,
+            ni: ni::AesNi::detect(),
         }
     }
 
@@ -243,38 +274,66 @@ impl Aes128 {
         }
     }
 
-    /// Encrypt one block (word-oriented T-table path).
+    /// Encrypt one block on the backend selected by [`Aes128::new`].
     #[inline]
     pub fn encrypt_block(&self, block: &Block) -> Block {
-        let rk = &self.round_key_words;
+        match self.ni {
+            Some(ni) => ni.encrypt_block(&self.round_keys, block),
+            None => self.encrypt_block_portable(block),
+        }
+    }
+
+    /// Encrypt every block of `blocks` in place, with the backend checked
+    /// once for the whole slice.
+    ///
+    /// Byte-identical to calling [`Aes128::encrypt_block`] on each block.
+    /// On AES-NI the blocks run four at a time, interleaved round by round,
+    /// so independent blocks (CTR counters) overlap in the pipeline.
+    pub fn encrypt_blocks(&self, blocks: &mut [Block]) {
+        match self.ni {
+            Some(ni) => ni.encrypt_blocks(&self.round_keys, blocks),
+            None => {
+                for block in blocks {
+                    *block = self.encrypt_block_portable(block);
+                }
+            }
+        }
+    }
+
+    /// Encrypt one block with the word-oriented T-table round function.
+    ///
+    /// This is the fallback [`Aes128::encrypt_block`] runs on hosts without
+    /// AES-NI, and the oracle the hardware path is checked against.
+    pub fn encrypt_block_portable(&self, block: &Block) -> Block {
+        let rk = &self.round_keys;
         // State column c lives in word c: bytes [row0, row1, row2, row3],
         // little-endian. ShiftRows means output column c pulls row r from
         // input column (c + r) mod 4.
-        let mut w0 = u32::from_le_bytes(block[0..4].try_into().expect("4 bytes")) ^ rk[0][0];
-        let mut w1 = u32::from_le_bytes(block[4..8].try_into().expect("4 bytes")) ^ rk[0][1];
-        let mut w2 = u32::from_le_bytes(block[8..12].try_into().expect("4 bytes")) ^ rk[0][2];
-        let mut w3 = u32::from_le_bytes(block[12..16].try_into().expect("4 bytes")) ^ rk[0][3];
+        let mut w0 = column(block, 0) ^ column(&rk[0], 0);
+        let mut w1 = column(block, 1) ^ column(&rk[0], 1);
+        let mut w2 = column(block, 2) ^ column(&rk[0], 2);
+        let mut w3 = column(block, 3) ^ column(&rk[0], 3);
         for round in rk[1..10].iter() {
             let n0 = t0(w0)
                 ^ t0(w1 >> 8).rotate_left(8)
                 ^ t0(w2 >> 16).rotate_left(16)
                 ^ t0(w3 >> 24).rotate_left(24)
-                ^ round[0];
+                ^ column(round, 0);
             let n1 = t0(w1)
                 ^ t0(w2 >> 8).rotate_left(8)
                 ^ t0(w3 >> 16).rotate_left(16)
                 ^ t0(w0 >> 24).rotate_left(24)
-                ^ round[1];
+                ^ column(round, 1);
             let n2 = t0(w2)
                 ^ t0(w3 >> 8).rotate_left(8)
                 ^ t0(w0 >> 16).rotate_left(16)
                 ^ t0(w1 >> 24).rotate_left(24)
-                ^ round[2];
+                ^ column(round, 2);
             let n3 = t0(w3)
                 ^ t0(w0 >> 8).rotate_left(8)
                 ^ t0(w1 >> 16).rotate_left(16)
                 ^ t0(w2 >> 24).rotate_left(24)
-                ^ round[3];
+                ^ column(round, 3);
             (w0, w1, w2, w3) = (n0, n1, n2, n3);
         }
         // Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
@@ -292,10 +351,10 @@ impl Aes128 {
 
     /// Encrypt one block with the byte-oriented FIPS-197 transcription.
     ///
-    /// This is the test oracle for [`Aes128::encrypt_block`]: slower but a
-    /// line-by-line match with the standard's pseudocode. Equivalence over
-    /// the full input space is enforced by known-answer tests and the
-    /// property suite.
+    /// This is the test oracle for [`Aes128::encrypt_block_portable`] and
+    /// the hardware path: slower but a line-by-line match with the
+    /// standard's pseudocode. Equivalence over the full input space is
+    /// enforced by known-answer tests and the property suite.
     pub fn encrypt_block_reference(&self, block: &Block) -> Block {
         let mut state = *block;
         Self::add_round_key(&mut state, &self.round_keys[0]);
@@ -311,7 +370,7 @@ impl Aes128 {
         state
     }
 
-    /// Decrypt one block.
+    /// Decrypt one block (portable on every host: no round path decrypts).
     pub fn decrypt_block(&self, block: &Block) -> Block {
         let mut state = *block;
         Self::add_round_key(&mut state, &self.round_keys[10]);
@@ -325,6 +384,173 @@ impl Aes128 {
         Self::inv_sub_bytes(&mut state);
         Self::add_round_key(&mut state, &self.round_keys[0]);
         state
+    }
+}
+
+#[cfg(test)]
+impl Aes128 {
+    /// `key` on every backend this host can run: the portable T-table
+    /// first, then AES-NI when the CPU has it.
+    pub(crate) fn every_backend(key: &Key) -> Vec<Aes128> {
+        let native = Aes128::new(key);
+        let portable = Aes128 {
+            ni: None,
+            ..native.clone()
+        };
+        match native.ni {
+            Some(_) => vec![portable, native],
+            None => vec![portable],
+        }
+    }
+}
+
+/// Which AES backend [`Aes128::new`] selects on this host: `"aes-ni"` or
+/// `"portable"`. Benchmark records carry it so runs on different backends
+/// are never mixed silently.
+///
+/// ```
+/// assert!(["aes-ni", "portable"].contains(&ppda_crypto::aes_backend_name()));
+/// ```
+pub fn aes_backend_name() -> &'static str {
+    match ni::AesNi::detect() {
+        Some(_) => "aes-ni",
+        None => "portable",
+    }
+}
+
+/// The AES-NI backend (x86 / x86-64).
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[allow(unsafe_code)]
+mod ni {
+    #[cfg(target_arch = "x86")]
+    use core::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use core::arch::x86_64::*;
+
+    use super::Block;
+
+    /// Proof that the CPU supports AES-NI: only [`AesNi::detect`] makes
+    /// one, so holding it makes the `aes` target-feature calls sound.
+    #[derive(Clone, Copy, Debug)]
+    pub(super) struct AesNi(());
+
+    impl AesNi {
+        /// `Some` exactly when the CPU reports the `aes` feature.
+        pub(super) fn detect() -> Option<Self> {
+            std::arch::is_x86_feature_detected!("aes").then_some(AesNi(()))
+        }
+
+        #[inline]
+        pub(super) fn encrypt_block(self, round_keys: &[Block; 11], block: &Block) -> Block {
+            // SAFETY: `self` exists only if the CPU reported AES-NI (which
+            // implies SSE2), the only target feature the callee enables.
+            unsafe { encrypt_one(round_keys, block) }
+        }
+
+        #[inline]
+        pub(super) fn encrypt_blocks(self, round_keys: &[Block; 11], blocks: &mut [Block]) {
+            // SAFETY: as in `encrypt_block`.
+            unsafe { encrypt_many(round_keys, blocks) }
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "aes")]
+    fn load(block: &Block) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes and `loadu` has no alignment
+        // requirement.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "aes")]
+    fn store(state: __m128i, block: &mut Block) {
+        // SAFETY: `block` is 16 writable bytes and `storeu` has no
+        // alignment requirement.
+        unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), state) }
+    }
+
+    /// The FIPS byte round keys load as-is: AES-NI reads state byte `i`
+    /// from register byte `i`, the same column-major order the schedule is
+    /// stored in.
+    #[inline]
+    #[target_feature(enable = "aes")]
+    fn load_keys(round_keys: &[Block; 11]) -> [__m128i; 11] {
+        let mut keys = [_mm_setzero_si128(); 11];
+        for (key, bytes) in keys.iter_mut().zip(round_keys) {
+            *key = load(bytes);
+        }
+        keys
+    }
+
+    /// One block through all ten rounds.
+    #[inline]
+    #[target_feature(enable = "aes")]
+    fn rounds(keys: &[__m128i; 11], block: &Block) -> __m128i {
+        let mut s = _mm_xor_si128(load(block), keys[0]);
+        for key in &keys[1..10] {
+            s = _mm_aesenc_si128(s, *key);
+        }
+        _mm_aesenclast_si128(s, keys[10])
+    }
+
+    #[target_feature(enable = "aes")]
+    fn encrypt_one(round_keys: &[Block; 11], block: &Block) -> Block {
+        let mut out = [0u8; 16];
+        store(rounds(&load_keys(round_keys), block), &mut out);
+        out
+    }
+
+    /// Encrypt `blocks` in place, four at a time with the rounds
+    /// interleaved so the independent blocks overlap in the AES unit.
+    #[target_feature(enable = "aes")]
+    fn encrypt_many(round_keys: &[Block; 11], blocks: &mut [Block]) {
+        let keys = load_keys(round_keys);
+        let mut quads = blocks.chunks_exact_mut(4);
+        for quad in &mut quads {
+            let mut s0 = _mm_xor_si128(load(&quad[0]), keys[0]);
+            let mut s1 = _mm_xor_si128(load(&quad[1]), keys[0]);
+            let mut s2 = _mm_xor_si128(load(&quad[2]), keys[0]);
+            let mut s3 = _mm_xor_si128(load(&quad[3]), keys[0]);
+            for key in &keys[1..10] {
+                s0 = _mm_aesenc_si128(s0, *key);
+                s1 = _mm_aesenc_si128(s1, *key);
+                s2 = _mm_aesenc_si128(s2, *key);
+                s3 = _mm_aesenc_si128(s3, *key);
+            }
+            store(_mm_aesenclast_si128(s0, keys[10]), &mut quad[0]);
+            store(_mm_aesenclast_si128(s1, keys[10]), &mut quad[1]);
+            store(_mm_aesenclast_si128(s2, keys[10]), &mut quad[2]);
+            store(_mm_aesenclast_si128(s3, keys[10]), &mut quad[3]);
+        }
+        for block in quads.into_remainder() {
+            let state = rounds(&keys, block);
+            store(state, block);
+        }
+    }
+}
+
+/// No AES-NI off x86: the token type is uninhabited, so [`Aes128`] always
+/// takes the portable path.
+#[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+mod ni {
+    use super::Block;
+
+    #[derive(Clone, Copy, Debug)]
+    pub(super) enum AesNi {}
+
+    impl AesNi {
+        pub(super) fn detect() -> Option<Self> {
+            None
+        }
+
+        pub(super) fn encrypt_block(self, _: &[Block; 11], _: &Block) -> Block {
+            match self {}
+        }
+
+        pub(super) fn encrypt_blocks(self, _: &[Block; 11], _: &mut [Block]) {
+            match self {}
+        }
     }
 }
 
@@ -343,35 +569,47 @@ mod tests {
         hex(s).try_into().unwrap()
     }
 
+    /// Check one known answer on every backend and every path: the
+    /// dispatched single and multi-block calls, the portable T-table, the
+    /// byte-oriented reference and the inverse cipher.
+    fn assert_known_answer(key: &str, pt: &str, ct: &str) {
+        let (pt, ct) = (block(pt), block(ct));
+        for aes in Aes128::every_backend(&block(key)) {
+            assert_eq!(aes.encrypt_block(&pt), ct);
+            let mut blocks = [pt];
+            aes.encrypt_blocks(&mut blocks);
+            assert_eq!(blocks, [ct]);
+            assert_eq!(aes.encrypt_block_portable(&pt), ct);
+            assert_eq!(aes.encrypt_block_reference(&pt), ct);
+            assert_eq!(aes.decrypt_block(&ct), pt);
+        }
+    }
+
     #[test]
     fn fips197_appendix_b() {
         // FIPS-197 Appendix B worked example.
-        let key: Key = block("2b7e151628aed2a6abf7158809cf4f3c");
-        let aes = Aes128::new(&key);
-        let pt = block("3243f6a8885a308d313198a2e0370734");
-        let ct = aes.encrypt_block(&pt);
-        assert_eq!(ct, block("3925841d02dc09fbdc118597196a0b32"));
-        assert_eq!(aes.encrypt_block_reference(&pt), ct);
-        assert_eq!(aes.decrypt_block(&ct), pt);
+        assert_known_answer(
+            "2b7e151628aed2a6abf7158809cf4f3c",
+            "3243f6a8885a308d313198a2e0370734",
+            "3925841d02dc09fbdc118597196a0b32",
+        );
     }
 
     #[test]
     fn fips197_appendix_c1() {
         // FIPS-197 Appendix C.1 example vectors.
-        let key: Key = block("000102030405060708090a0b0c0d0e0f");
-        let aes = Aes128::new(&key);
-        let pt = block("00112233445566778899aabbccddeeff");
-        let ct = aes.encrypt_block(&pt);
-        assert_eq!(ct, block("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        assert_eq!(aes.encrypt_block_reference(&pt), ct);
-        assert_eq!(aes.decrypt_block(&ct), pt);
+        assert_known_answer(
+            "000102030405060708090a0b0c0d0e0f",
+            "00112233445566778899aabbccddeeff",
+            "69c4e0d86a7b0430d8cdb78070b4c55a",
+        );
     }
 
     #[test]
     fn sp800_38a_ecb_vectors() {
-        // NIST SP 800-38A F.1.1 (AES-128 ECB), all four blocks, exercising
-        // both the T-table path and the byte-oriented oracle.
-        let aes = Aes128::new(&block("2b7e151628aed2a6abf7158809cf4f3c"));
+        // NIST SP 800-38A F.1.1 (AES-128 ECB), all four blocks, block by
+        // block on every path and as one multi-block call per backend.
+        let key = "2b7e151628aed2a6abf7158809cf4f3c";
         let cases = [
             (
                 "6bc1bee22e409f96e93d7e117393172a",
@@ -391,25 +629,45 @@ mod tests {
             ),
         ];
         for (pt, ct) in cases {
-            assert_eq!(aes.encrypt_block(&block(pt)), block(ct));
-            assert_eq!(aes.encrypt_block_reference(&block(pt)), block(ct));
-            assert_eq!(aes.decrypt_block(&block(ct)), block(pt));
+            assert_known_answer(key, pt, ct);
         }
+        for aes in Aes128::every_backend(&block(key)) {
+            let mut blocks = cases.map(|(pt, _)| block(pt));
+            aes.encrypt_blocks(&mut blocks);
+            assert_eq!(blocks, cases.map(|(_, ct)| block(ct)));
+        }
+    }
+
+    #[test]
+    fn aes_ni_is_selected_exactly_when_the_cpu_reports_it() {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        let detected = std::arch::is_x86_feature_detected!("aes");
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        let detected = false;
+        assert_eq!(Aes128::new(&[0x17; 16]).ni.is_some(), detected);
+        assert_eq!(
+            Aes128::every_backend(&[0x17; 16]).len(),
+            1 + detected as usize
+        );
+        let name = if detected { "aes-ni" } else { "portable" };
+        assert_eq!(aes_backend_name(), name);
     }
 
     #[test]
     fn ttable_matches_reference_exhaustive_bytes() {
         // Single-active-byte inputs hit every T0 entry in every position.
-        let aes = Aes128::new(&[0x5A; 16]);
-        for pos in 0..16 {
-            for v in 0..=255u8 {
-                let mut pt = [0u8; 16];
-                pt[pos] = v;
-                assert_eq!(
-                    aes.encrypt_block(&pt),
-                    aes.encrypt_block_reference(&pt),
-                    "diverged at byte {pos} = {v:#04x}"
-                );
+        // Every backend is held to the same oracle.
+        for aes in Aes128::every_backend(&[0x5A; 16]) {
+            for pos in 0..16 {
+                for v in 0..=255u8 {
+                    let mut pt = [0u8; 16];
+                    pt[pos] = v;
+                    assert_eq!(
+                        aes.encrypt_block(&pt),
+                        aes.encrypt_block_reference(&pt),
+                        "diverged at byte {pos} = {v:#04x}"
+                    );
+                }
             }
         }
     }
@@ -426,6 +684,58 @@ mod tests {
             }
             assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
             assert_eq!(aes.encrypt_block(&pt), aes.encrypt_block_reference(&pt));
+            assert_eq!(
+                aes.encrypt_block_portable(&pt),
+                aes.encrypt_block_reference(&pt)
+            );
+        }
+    }
+
+    /// The byte-oriented FIPS-197 §5.2 key expansion, word by word: the
+    /// oracle for the little-endian word loop in [`Aes128::new`].
+    fn expand_reference(key: &Key) -> [Block; 11] {
+        let mut w = [[0u8; 4]; 44];
+        for i in 0..4 {
+            w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
+        }
+        for i in 4..44 {
+            let mut temp = w[i - 1];
+            if i % 4 == 0 {
+                temp.rotate_left(1);
+                for byte in &mut temp {
+                    *byte = SBOX[*byte as usize];
+                }
+                temp[0] ^= RCON[i / 4 - 1];
+            }
+            for j in 0..4 {
+                w[i][j] = w[i - 4][j] ^ temp[j];
+            }
+        }
+        let mut round_keys = [[0u8; 16]; 11];
+        for (round, rk) in round_keys.iter_mut().enumerate() {
+            for c in 0..4 {
+                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * round + c]);
+            }
+        }
+        round_keys
+    }
+
+    #[test]
+    fn key_schedule_matches_fips197_expansion() {
+        // FIPS-197 Appendix A.1: the last round key of the example key.
+        let aes = Aes128::new(&block("2b7e151628aed2a6abf7158809cf4f3c"));
+        assert_eq!(
+            aes.round_keys[10],
+            block("d014f9a8c9ee2589e13f0cc8b6630ca6")
+        );
+        let mut state = 7u64;
+        for _ in 0..512 {
+            let mut key = [0u8; 16];
+            for b in key.iter_mut() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                *b = (state >> 33) as u8;
+            }
+            assert_eq!(Aes128::new(&key).round_keys, expand_reference(&key));
         }
     }
 

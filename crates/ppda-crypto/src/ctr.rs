@@ -45,57 +45,42 @@ pub fn xor_keystream(aes: &Aes128, counter_block: &mut Block, data: &mut [u8]) {
     }
 }
 
-/// Number of blocks [`xor_keystream_bulk`] encrypts per inner iteration.
+/// Counter blocks [`xor_keystream_bulk`] hands the cipher per call.
 const BULK_LANES: usize = 4;
-
-/// XOR one whole block of keystream into `chunk` using 64-bit lanes.
-#[inline(always)]
-fn xor_block(chunk: &mut [u8], keystream: &Block) {
-    let lo = u64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes"))
-        ^ u64::from_le_bytes(keystream[0..8].try_into().expect("8 bytes"));
-    let hi = u64::from_le_bytes(chunk[8..16].try_into().expect("8 bytes"))
-        ^ u64::from_le_bytes(keystream[8..16].try_into().expect("8 bytes"));
-    chunk[0..8].copy_from_slice(&lo.to_le_bytes());
-    chunk[8..16].copy_from_slice(&hi.to_le_bytes());
-}
 
 /// XOR `data` with the AES-CTR keystream that starts at `counter_block`,
 /// producing keystream in multi-block runs.
 ///
 /// Byte-for-byte identical to [`xor_keystream`] (same counter layout, same
-/// per-block advance), but the keystream is generated four counter blocks
-/// at a time — the encryptions are data-independent, so the word-oriented
-/// cipher rounds pipeline across blocks — and the XOR runs on 64-bit lanes
-/// instead of bytes. Use this on bulk paths (DRBG output, batched CCM
-/// payloads); the equivalence is enforced by the property suite.
+/// per-block advance), but each run of up to four counter blocks goes
+/// through one [`Aes128::encrypt_blocks`] call — the encryptions are
+/// data-independent, so on AES-NI they overlap in the pipeline — and whole
+/// blocks are XORed on 64-bit lanes instead of bytes. Use this on bulk
+/// paths (batched CCM payloads); the equivalence is enforced by the
+/// property suite.
 pub fn xor_keystream_bulk(aes: &Aes128, counter_block: &mut Block, data: &mut [u8]) {
-    let mut wide = data.chunks_exact_mut(BULK_LANES * BLOCK_LEN);
-    for run in &mut wide {
-        let mut counters = [*counter_block; BULK_LANES];
-        for counter in counters.iter_mut().skip(1) {
+    let mut keystream = [[0u8; BLOCK_LEN]; BULK_LANES];
+    for run in data.chunks_mut(BULK_LANES * BLOCK_LEN) {
+        let blocks = run.len().div_ceil(BLOCK_LEN);
+        for ks in &mut keystream[..blocks] {
+            *ks = *counter_block;
             increment_block(counter_block);
-            *counter = *counter_block;
         }
-        increment_block(counter_block);
-        let keystream = counters.map(|c| aes.encrypt_block(&c));
-        for (chunk, ks) in run.chunks_exact_mut(BLOCK_LEN).zip(keystream.iter()) {
-            xor_block(chunk, ks);
+        aes.encrypt_blocks(&mut keystream[..blocks]);
+        for (chunk, ks) in run.chunks_mut(BLOCK_LEN).zip(&keystream) {
+            if chunk.len() == BLOCK_LEN {
+                let lo = u64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes"))
+                    ^ u64::from_le_bytes(ks[0..8].try_into().expect("8 bytes"));
+                let hi = u64::from_le_bytes(chunk[8..16].try_into().expect("8 bytes"))
+                    ^ u64::from_le_bytes(ks[8..16].try_into().expect("8 bytes"));
+                chunk[0..8].copy_from_slice(&lo.to_le_bytes());
+                chunk[8..16].copy_from_slice(&hi.to_le_bytes());
+            } else {
+                for (d, k) in chunk.iter_mut().zip(ks) {
+                    *d ^= k;
+                }
+            }
         }
-    }
-    let tail = wide.into_remainder();
-    let mut blocks = tail.chunks_exact_mut(BLOCK_LEN);
-    for chunk in &mut blocks {
-        let keystream = aes.encrypt_block(counter_block);
-        xor_block(chunk, &keystream);
-        increment_block(counter_block);
-    }
-    let rest = blocks.into_remainder();
-    if !rest.is_empty() {
-        let keystream = aes.encrypt_block(counter_block);
-        for (d, k) in rest.iter_mut().zip(keystream.iter()) {
-            *d ^= k;
-        }
-        increment_block(counter_block);
     }
 }
 
@@ -112,25 +97,30 @@ mod tests {
 
     #[test]
     fn sp800_38a_f5_ctr_vectors() {
-        // NIST SP 800-38A F.5.1 CTR-AES128.Encrypt, all four segments.
-        let aes = Aes128::new(&hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap());
-        let mut counter: Block = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
-        let mut data = hex(concat!(
+        // NIST SP 800-38A F.5.1 CTR-AES128.Encrypt, all four segments,
+        // through both keystream functions on every backend.
+        let key: Block = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
+        let start: Block = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
+        let plaintext = hex(concat!(
             "6bc1bee22e409f96e93d7e117393172a",
             "ae2d8a571e03ac9c9eb76fac45af8e51",
             "30c81c46a35ce411e5fbc1191a0a52ef",
             "f69f2445df4f9b17ad2b417be66c3710",
         ));
-        xor_keystream(&aes, &mut counter, &mut data);
-        assert_eq!(
-            data,
-            hex(concat!(
-                "874d6191b620e3261bef6864990db6ce",
-                "9806f66b7970fdff8617187bb9fffdff",
-                "5ae4df3edbd5d35e5b4f09020db03eab",
-                "1e031dda2fbe03d1792170a0f3009cee",
-            ))
-        );
+        let ciphertext = hex(concat!(
+            "874d6191b620e3261bef6864990db6ce",
+            "9806f66b7970fdff8617187bb9fffdff",
+            "5ae4df3edbd5d35e5b4f09020db03eab",
+            "1e031dda2fbe03d1792170a0f3009cee",
+        ));
+        for aes in Aes128::every_backend(&key) {
+            for keystream in [xor_keystream, xor_keystream_bulk] {
+                let mut counter = start;
+                let mut data = plaintext.clone();
+                keystream(&aes, &mut counter, &mut data);
+                assert_eq!(data, ciphertext);
+            }
+        }
     }
 
     #[test]
@@ -172,21 +162,22 @@ mod tests {
     #[test]
     fn bulk_matches_blockwise_for_all_lengths() {
         // Cover empty, sub-block, exact-block, wide-run and ragged sizes
-        // around the 4-block bulk boundary.
-        let aes = Aes128::new(&[0x61u8; 16]);
-        for len in 0..=200usize {
-            let msg: Vec<u8> = (0..len as u32).map(|i| (i * 7) as u8).collect();
+        // around the 4-block bulk boundary, on every backend.
+        for aes in Aes128::every_backend(&[0x61u8; 16]) {
+            for len in 0..=200usize {
+                let msg: Vec<u8> = (0..len as u32).map(|i| (i * 7) as u8).collect();
 
-            let mut blockwise = msg.clone();
-            let mut c1 = [0xF0u8; 16];
-            xor_keystream(&aes, &mut c1, &mut blockwise);
+                let mut blockwise = msg.clone();
+                let mut c1 = [0xF0u8; 16];
+                xor_keystream(&aes, &mut c1, &mut blockwise);
 
-            let mut bulk = msg;
-            let mut c2 = [0xF0u8; 16];
-            xor_keystream_bulk(&aes, &mut c2, &mut bulk);
+                let mut bulk = msg;
+                let mut c2 = [0xF0u8; 16];
+                xor_keystream_bulk(&aes, &mut c2, &mut bulk);
 
-            assert_eq!(blockwise, bulk, "payload length {len}");
-            assert_eq!(c1, c2, "counter advance at length {len}");
+                assert_eq!(blockwise, bulk, "payload length {len}");
+                assert_eq!(c1, c2, "counter advance at length {len}");
+            }
         }
     }
 

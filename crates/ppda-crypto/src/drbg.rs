@@ -101,13 +101,15 @@ impl CtrDrbg {
     ///
     /// Emits exactly the same byte stream as [`RngCore::fill_bytes`] over
     /// the same total length: a partially drained buffer is consumed first,
-    /// after which every block comes straight off the cipher with no
-    /// intermediate buffering.
+    /// after which every block comes straight off the cipher in one
+    /// [`Aes128::encrypt_blocks`] call, with no intermediate buffering.
     pub fn fill_blocks(&mut self, out: &mut [Block]) {
         if self.buffered == 0 {
             for block in out.iter_mut() {
-                *block = self.next_block();
+                increment_block(&mut self.counter);
+                *block = self.counter;
             }
+            self.aes.encrypt_blocks(out);
         } else {
             // Unaligned relative to the buffered tail; the generic path
             // below handles the straddling copies.
@@ -116,19 +118,36 @@ impl CtrDrbg {
             }
         }
     }
+
+    /// The next `N` output bytes. When the buffered block holds them (after
+    /// a refill if it is empty) they are copied straight out; a read that
+    /// straddles two blocks takes the generic [`RngCore::fill_bytes`] path.
+    /// Either way the stream, the counter and the buffer state are exactly
+    /// those of `fill_bytes` on `N` bytes.
+    #[inline]
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        if self.buffered == 0 {
+            self.refill();
+        }
+        let mut out = [0u8; N];
+        if self.buffered >= N {
+            let start = 16 - self.buffered;
+            out.copy_from_slice(&self.buffer[start..start + N]);
+            self.buffered -= N;
+        } else {
+            self.fill_bytes(&mut out);
+        }
+        out
+    }
 }
 
 impl RngCore for CtrDrbg {
     fn next_u32(&mut self) -> u32 {
-        let mut bytes = [0u8; 4];
-        self.fill_bytes(&mut bytes);
-        u32::from_le_bytes(bytes)
+        u32::from_le_bytes(self.take())
     }
 
     fn next_u64(&mut self) -> u64 {
-        let mut bytes = [0u8; 8];
-        self.fill_bytes(&mut bytes);
-        u64::from_le_bytes(bytes)
+        u64::from_le_bytes(self.take())
     }
 
     fn fill_bytes(&mut self, dest: &mut [u8]) {
@@ -284,6 +303,43 @@ mod tests {
             }
             assert_eq!(fast.buffered, slow.buffered);
             assert_eq!(fast.counter, slow.counter);
+        }
+
+        // `next_u32`, `next_u64` and `fill_bytes` interleaved from every
+        // buffer offset: the word draws read the buffered block directly or
+        // straddle two blocks, and must match the bytewise oracle either
+        // way, down to the counter and the reseed result.
+        for skew in 0..16usize {
+            let mut fast = CtrDrbg::new([4u8; 16], b"interleave");
+            let mut slow = CtrDrbg::new([4u8; 16], b"interleave");
+            let mut pre = vec![0u8; skew];
+            fast.fill_bytes(&mut pre);
+            fill_bytes_bytewise(&mut slow, &mut pre);
+            for step in 0..48usize {
+                let mut expect = vec![0u8; [4, 8, step % 21][step % 3]];
+                fill_bytes_bytewise(&mut slow, &mut expect);
+                let got = match step % 3 {
+                    0 => fast.next_u32().to_le_bytes().to_vec(),
+                    1 => fast.next_u64().to_le_bytes().to_vec(),
+                    _ => {
+                        let mut bytes = vec![0u8; expect.len()];
+                        fast.fill_bytes(&mut bytes);
+                        bytes
+                    }
+                };
+                assert_eq!(got, expect, "skew {skew}, step {step}");
+                assert_eq!(fast.buffered, slow.buffered, "skew {skew}, step {step}");
+                assert_eq!(fast.counter, slow.counter, "skew {skew}, step {step}");
+            }
+            fast.reseed(b"entropy");
+            slow.reseed(b"entropy");
+            let mut expect = [0u8; 8];
+            fill_bytes_bytewise(&mut slow, &mut expect);
+            assert_eq!(
+                fast.next_u64().to_le_bytes(),
+                expect,
+                "reseed at skew {skew}"
+            );
         }
     }
 

@@ -6,7 +6,7 @@
 //! bootstrapping phase"). This crate provides:
 //!
 //! * [`Aes128`] — the FIPS-197 block cipher (encrypt + decrypt), verified
-//!   against the official test vectors.
+//!   against the official test vectors, with a hardware backend (below).
 //! * [`ctr`] — CTR keystream mode (NIST SP 800-38A).
 //! * [`CbcMac`] — CBC-MAC over whole blocks, the authentication core of CCM.
 //! * [`Ccm`] — CCM authenticated encryption as used by IEEE 802.15.4
@@ -17,6 +17,26 @@
 //! * [`PairwiseKeys`] — the bootstrap-phase pairwise key store: every
 //!   unordered node pair {i, j} owns a distinct AES key derived from a
 //!   network master secret.
+//!
+//! # AES backends
+//!
+//! Every primitive above runs on [`Aes128`], which has three encryption
+//! paths over one key schedule: AES-NI ([`Aes128::encrypt_block`] and the
+//! four-blocks-in-flight [`Aes128::encrypt_blocks`] on x86 / x86-64 CPUs
+//! that report the `aes` feature), the portable T-table
+//! ([`Aes128::encrypt_block_portable`], used everywhere else) and the
+//! byte-oriented FIPS-197 transcription
+//! ([`Aes128::encrypt_block_reference`], the oracle). [`Aes128::new`]
+//! probes the CPU once per key schedule and stores the choice, so callers
+//! never select a backend and every path emits the same bytes; the KATs run
+//! on both backends and the property suite checks the three paths against
+//! each other. [`aes_backend_name`] reports the host's choice for benchmark
+//! records. Decryption stays portable, since no CTR/CCM path decrypts.
+//!
+//! The crate denies `unsafe_code`. The one exception is the private AES-NI
+//! module, which allows it for the intrinsics and gives a SAFETY argument on
+//! every block; the hardware path can only be reached through a token that
+//! exists once the CPU has reported AES-NI.
 //!
 //! # Example
 //!
@@ -33,7 +53,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aes;
@@ -44,7 +64,7 @@ mod drbg;
 mod error;
 mod keys;
 
-pub use aes::{Aes128, Block, Key, BLOCK_LEN, KEY_LEN};
+pub use aes::{aes_backend_name, Aes128, Block, Key, BLOCK_LEN, KEY_LEN};
 pub use cbc_mac::CbcMac;
 pub use ccm::{Ccm, NONCE_LEN};
 pub use drbg::CtrDrbg;

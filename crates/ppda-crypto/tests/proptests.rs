@@ -127,27 +127,50 @@ proptest! {
         key in any::<[u8; 16]>(),
         block in any::<[u8; 16]>(),
     ) {
-        // The word-oriented T-table hot path against its auditable
-        // FIPS-197 transcription oracle.
+        // The dispatched path (AES-NI where the CPU has it), the portable
+        // T-table and the auditable FIPS-197 transcription all agree.
         let aes = Aes128::new(&key);
-        prop_assert_eq!(aes.encrypt_block(&block), aes.encrypt_block_reference(&block));
+        let reference = aes.encrypt_block_reference(&block);
+        prop_assert_eq!(aes.encrypt_block_portable(&block), reference);
+        prop_assert_eq!(aes.encrypt_block(&block), reference);
+    }
+
+    #[test]
+    fn encrypt_blocks_matches_per_block_encryption(
+        key in any::<[u8; 16]>(),
+        blocks in prop::collection::vec(any::<[u8; 16]>(), 17),
+    ) {
+        // Every slice length 0..=17 around the four-block pipeline width.
+        let aes = Aes128::new(&key);
+        for len in 0..=blocks.len() {
+            let mut many = blocks[..len].to_vec();
+            aes.encrypt_blocks(&mut many);
+            let single: Vec<[u8; 16]> = blocks[..len]
+                .iter()
+                .map(|b| aes.encrypt_block_portable(b))
+                .collect();
+            prop_assert_eq!(many, single);
+        }
     }
 
     #[test]
     fn bulk_keystream_matches_blockwise(
         key in any::<[u8; 16]>(),
         counter in any::<[u8; 16]>(),
-        data in prop::collection::vec(any::<u8>(), 0..300),
+        data in prop::collection::vec(any::<u8>(), 201),
     ) {
+        // Every payload length 0..=200: empty, ragged and multi-run.
         let aes = Aes128::new(&key);
-        let mut blockwise = data.clone();
-        let mut c1 = counter;
-        ctr::xor_keystream(&aes, &mut c1, &mut blockwise);
-        let mut bulk = data;
-        let mut c2 = counter;
-        ctr::xor_keystream_bulk(&aes, &mut c2, &mut bulk);
-        prop_assert_eq!(blockwise, bulk);
-        prop_assert_eq!(c1, c2);
+        for len in 0..data.len() {
+            let mut blockwise = data[..len].to_vec();
+            let mut c1 = counter;
+            ctr::xor_keystream(&aes, &mut c1, &mut blockwise);
+            let mut bulk = data[..len].to_vec();
+            let mut c2 = counter;
+            ctr::xor_keystream_bulk(&aes, &mut c2, &mut bulk);
+            prop_assert_eq!(blockwise, bulk);
+            prop_assert_eq!(c1, c2);
+        }
     }
 
     #[test]
